@@ -14,6 +14,8 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
+import numpy as np
+
 from .bloch import BlochVector, Measurement
 from .bounds import (
     ASYMPTOTIC_VALID_FROM,
@@ -21,7 +23,6 @@ from .bounds import (
     random_lower_bound_asymptotic,
 )
 from .classical import (
-    BitString,
     classical_asymptotic,
     classical_bounds,
     optimal_classical_probability,
@@ -61,8 +62,11 @@ def code_document(
     document: dict = {
         "schema_version": SCHEMA_VERSION,
         "n": code.n,
-        "measurements": [[m.direction.x, m.direction.y, m.direction.z] for m in code.measurements],
-        "encodings": {x.text: [r.x, r.y, r.z] for x, r in sorted(code.encodings.items(), key=lambda item: item[0].index)},
+        "measurements": code.measurement_array().tolist(),
+        "encodings": {  # the key of index i is its n-bit binary form, reversed
+            format(i, f"0{code.n}b")[::-1]: row
+            for i, row in enumerate(code.encoding_array().tolist())
+        },
     }
     metadata: dict = {}
     if name is not None:
@@ -96,7 +100,7 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     n = document.get("n")
     measurements_raw = document.get("measurements")
     encodings_raw = document.get("encodings")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(measurements_raw, list) or len(measurements_raw) != n:
         raise ValueError(f"expected {n} measurement vectors")
@@ -106,14 +110,16 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
         Measurement(_vector_from_json(raw, f"measurement {i + 1}"))
         for i, raw in enumerate(measurements_raw)
     )
-    encodings = {
-        BitString.from_text(key): _vector_from_json(raw, f"encoding {key!r}")
-        for key, raw in encodings_raw.items()
-    }
+    points = np.empty((1 << n, 3))
+    for key, raw in encodings_raw.items():
+        if len(key) != n or key.strip("01"):
+            raise ValueError(f"encoding key {key!r} is not a string of {n} bits")
+        r = _vector_from_json(raw, f"encoding {key!r}")
+        points[int(key[::-1], 2)] = (r.x, r.y, r.z)
     metadata = document.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
-    return QracCode(measurements, encodings), metadata
+    return QracCode(measurements, points), metadata
 
 
 def _load_json(path: str) -> dict:
@@ -256,8 +262,8 @@ def _cmd_regions(args: argparse.Namespace) -> int:
             {"label": f"v{i + 1}", "vec": [v.x, v.y, v.z], "kind": "measurement"}
             for i, v in enumerate(normals)
         ] + [
-            {"label": x.text, "vec": [r.x, r.y, r.z], "kind": "encoding"}
-            for x, r in sorted(code.encodings.items(), key=lambda item: item[0].index)
+            {"label": format(i, f"0{code.n}b")[::-1], "vec": row, "kind": "encoding"}
+            for i, row in enumerate(code.encoding_array().tolist())
         ]
     else:
         normals = _circles_from_file(args.circles)

@@ -12,13 +12,12 @@ sum over sign patterns.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from types import MappingProxyType
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, Measurement, uniform_directions
+from .bloch import UNIT_TOLERANCE, BlochVector, Measurement, uniform_directions
 from .classical import BitString, optimal_classical_probability
 from .errors import CostLimitError
 
@@ -30,7 +29,7 @@ NEUTRAL_CUTOFF = 1e-12
 #: keeps output deterministic; the average probability does not depend on it.
 NEUTRAL_FALLBACK = BlochVector(0.0, 0.0, 1.0)
 
-#: Hard guard for the 2^n sign-pattern enumeration in sign_pattern_norm_sum.
+#: Hard guard for every 2^n sign-pattern enumeration (the kernel _signed_sums).
 MAX_SIGN_ENUMERATION = 24
 
 #: Hard guard for the 2^n enumeration in parallelogram_check.
@@ -59,120 +58,174 @@ def _direction_array(measurements: Sequence[Measurement]) -> np.ndarray:
     return np.array([(m.direction.x, m.direction.y, m.direction.z) for m in measurements])
 
 
+def probability_from_s_value(s: float, n: int) -> float:
+    """Optimally-encoded average success probability (1 + s / (n * 2^n)) / 2."""
+    return 0.5 * (1.0 + s / (n * (1 << n)))
+
+
 def signed_direction_sum(measurements: Sequence[Measurement], x: BitString) -> np.ndarray:
     """Sum of measurement directions with sign (-1)^(x_i) on the i-th term.
 
     The result is generally not a unit vector; its normalization is the best
     encoding point for x, and its norm measures how well x can be encoded.
+    Terms are added one by one in position order from +0.0: the order in
+    which an OpenBLAS matrix product over many sign rows, as in the
+    sign-pattern kernel, accumulates each row, so the two agree bit for bit.
     """
     if len(measurements) != len(x):
         raise ValueError(
             f"string length {len(x)} does not match measurement count {len(measurements)}"
         )
-    signs = np.array([1.0 - 2.0 * b for b in x])
-    return signs @ _direction_array(measurements)
+    total = np.zeros(3)
+    for bit, direction in zip(x, _direction_array(measurements)):
+        total = total - direction if bit else total + direction
+    return total
 
 
-def optimal_encoding(measurements: Sequence[Measurement]) -> dict[BitString, BlochVector]:
-    """Best encoding point for every input string: the normalized signed sum.
+def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The sign-pattern kernel: (start, S_x, |S_x|) blocks for x = 0 .. 2^(n-1) - 1.
 
-    Strings whose signed sum vanishes (within NEUTRAL_CUTOFF) are mapped to
-    the fixed fallback NEUTRAL_FALLBACK; any choice gives the same average.
+    Checks n against MAX_SIGN_ENUMERATION on the call, before any work.  The
+    other half needs none: S_x' = -S_x for the complement x' = 2^n - 1 - x.
     """
-    n = len(measurements)
+    n = len(dirs)
     if n < 1:
         raise ValueError("need at least one measurement")
-    dirs = _direction_array(measurements)
-    encodings: dict[BitString, BlochVector] = {}
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        sums = sign_matrix(n, start, stop) @ dirs
-        norms = np.linalg.norm(sums, axis=1)
-        for row, value in enumerate(range(start, stop)):
-            x = BitString.from_index(value, n)
-            if norms[row] < NEUTRAL_CUTOFF:
-                encodings[x] = NEUTRAL_FALLBACK
-            else:
-                encodings[x] = BlochVector.from_array(sums[row] / norms[row])
-    return encodings
-
-
-def neutral_strings(measurements: Sequence[Measurement]) -> tuple[BitString, ...]:
-    """Input strings whose signed direction sum vanishes, in index order."""
-    n = len(measurements)
-    dirs = _direction_array(measurements)
-    found: list[BitString] = []
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        norms = np.linalg.norm(sign_matrix(n, start, stop) @ dirs, axis=1)
-        found.extend(
-            BitString.from_index(start + int(row), n)
-            for row in np.nonzero(norms < NEUTRAL_CUTOFF)[0]
+    if n > MAX_SIGN_ENUMERATION:
+        raise CostLimitError(
+            f"sign-pattern enumeration visits 2**(n-1) signed sums; "
+            f"n = {n} exceeds the limit {MAX_SIGN_ENUMERATION}"
         )
-    return tuple(found)
+    half = 1 << (n - 1)
+
+    def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        for start in range(0, half, _CHUNK):
+            sums = sign_matrix(n, start, min(start + _CHUNK, half)) @ dirs
+            yield start, sums, np.linalg.norm(sums, axis=1)
+
+    return blocks()
 
 
-def sign_pattern_norm_sum(dirs: np.ndarray) -> float:
-    """Sum over all 2^n sign patterns of the norm of the signed row sum."""
-    n = dirs.shape[0]
-    total = 0.0
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        total += float(np.linalg.norm(sign_matrix(n, start, stop) @ dirs, axis=1).sum())
-    return total
+def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[BitString, ...]]:
+    """One kernel pass: the norm sum over all 2^n patterns and the neutral strings."""
+    n = len(dirs)
+    half_total = 0.0
+    lower: list[int] = []
+    for start, _, norms in _signed_sums(dirs):
+        half_total += float(norms.sum())
+        lower.extend((start + np.flatnonzero(norms < NEUTRAL_CUTOFF)).tolist())
+    indices = lower + [(1 << n) - 1 - i for i in reversed(lower)]
+    return 2.0 * half_total, tuple(BitString.from_index(i, n) for i in indices)
 
 
 def s_value(measurements: Sequence[Measurement]) -> float:
     """Total norm of signed direction sums over all 2^n sign patterns.
 
     This single number determines the optimally-encoded average success
-    probability: average = (1 + s_value / (n * 2^n)) / 2.
+    probability; see probability_from_s_value.
     """
-    n = len(measurements)
-    if n < 1:
-        raise ValueError("need at least one measurement")
-    if n > MAX_SIGN_ENUMERATION:
-        raise CostLimitError(
-            f"sign-pattern sum enumerates 2**n terms; n = {n} exceeds the limit {MAX_SIGN_ENUMERATION}"
-        )
-    return sign_pattern_norm_sum(_direction_array(measurements))
+    return _norm_sum_and_neutral(_direction_array(measurements))[0]
+
+
+def neutral_strings(measurements: Sequence[Measurement]) -> tuple[BitString, ...]:
+    """Input strings whose signed direction sum vanishes, in index order."""
+    return _norm_sum_and_neutral(_direction_array(measurements))[1]
+
+
+class _EncodingView(Mapping[BitString, BlochVector]):
+    """Read-only view of a (2^n, 3) encoding array; builds a BlochVector per lookup."""
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = points
+
+    def __getitem__(self, x: BitString) -> BlochVector:
+        if not isinstance(x, BitString) or 1 << len(x) != len(self.points):
+            raise KeyError(x)
+        return BlochVector.from_array(self.points[x.index])
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self) -> Iterator[BitString]:
+        n = len(self.points).bit_length() - 1
+        return (BitString.from_index(i, n) for i in range(len(self.points)))
+
+
+def optimal_encoding(measurements: Sequence[Measurement]) -> Mapping[BitString, BlochVector]:
+    """Best encoding point for every input string: the normalized signed sum.
+
+    Strings whose signed sum vanishes (within NEUTRAL_CUTOFF) are mapped to
+    the fixed fallback NEUTRAL_FALLBACK; any choice gives the same average.
+    The result is a read-only mapping backed by one (2^n, 3) array.
+    """
+    dirs = _direction_array(measurements)
+    blocks = _signed_sums(dirs)  # guarded before the array below exists
+    size = 1 << len(dirs)
+    points = np.empty((size, 3))
+    for start, sums, norms in blocks:
+        stop = start + len(sums)
+        neutral = norms < NEUTRAL_CUTOFF
+        unit = sums / np.where(neutral, 1.0, norms)[:, None]
+        points[start:stop] = unit
+        points[size - stop : size - start] = 0.0 - unit[::-1]  # exact, and no -0.0
+        rows = start + np.flatnonzero(neutral)
+        points[rows] = points[size - 1 - rows] = NEUTRAL_FALLBACK.as_array()
+    points.setflags(write=False)
+    return _EncodingView(points)
 
 
 @dataclass(frozen=True)
 class QracCode:
-    """A complete code: n measurement directions plus an encoding per string."""
+    """A complete code: n measurement directions plus an encoding per string.
+
+    Stored as an (n, 3) direction array and a (2^n, 3) array of encoding
+    points in input-index order; `encodings` is a read-only mapping view of
+    the latter.  It may be passed as a mapping from strings to points, or
+    as the array itself (rows must be unit vectors).
+    """
 
     measurements: tuple[Measurement, ...]
     encodings: Mapping[BitString, BlochVector]
+    _dirs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.measurements)
         if n < 1:
             raise ValueError("need at least one measurement")
         if len(self.encodings) != 1 << n:
-            raise ValueError(
-                f"need {1 << n} encodings for n = {n}, got {len(self.encodings)}"
-            )
-        for x in self.encodings:
-            if len(x) != n:
-                raise ValueError(f"encoding key {x.text!r} has wrong length for n = {n}")
+            raise ValueError(f"need {1 << n} encodings for n = {n}, got {len(self.encodings)}")
+        if isinstance(self.encodings, _EncodingView):
+            points = self.encodings.points
+        elif isinstance(self.encodings, np.ndarray):
+            points = np.array(self.encodings, dtype=float)
+            if points.shape != (1 << n, 3) or np.any(
+                np.abs(np.sqrt((points * points).sum(axis=1)) - 1.0) > UNIT_TOLERANCE
+            ):
+                raise ValueError(f"encoding array must hold {1 << n} unit 3-vectors as rows")
+        else:
+            points = np.empty((1 << n, 3))
+            for x, r in self.encodings.items():
+                if len(x) != n:
+                    raise ValueError(f"encoding key {x.text!r} has wrong length for n = {n}")
+                points[x.index] = (r.x, r.y, r.z)
+        points.setflags(write=False)
+        dirs = _direction_array(self.measurements)
+        dirs.setflags(write=False)
         object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(self, "encodings", MappingProxyType(dict(self.encodings)))
+        object.__setattr__(self, "encodings", _EncodingView(points))
+        object.__setattr__(self, "_dirs", dirs)
 
     @property
     def n(self) -> int:
         return len(self.measurements)
 
     def measurement_array(self) -> np.ndarray:
-        """Measurement directions as an (n, 3) array, row i = position i+1."""
-        return _direction_array(self.measurements)
+        """Measurement directions as a read-only (n, 3) array, row i = position i+1."""
+        return self._dirs
 
     def encoding_array(self) -> np.ndarray:
-        """Encoding points as a (2^n, 3) array ordered by input index."""
-        out = np.empty((1 << self.n, 3))
-        for x, r in self.encodings.items():
-            out[x.index] = (r.x, r.y, r.z)
-        return out
+        """Encoding points as a read-only (2^n, 3) array ordered by input index."""
+        return self.encodings.points
 
 
 def optimal_code(measurements: Sequence[Measurement]) -> QracCode:
@@ -216,17 +269,16 @@ class CodeReport:
 
 def evaluate(code: QracCode) -> CodeReport:
     """Score a code: per-cell success probabilities plus their aggregates."""
-    n = code.n
     dirs = code.measurement_array()
-    points = code.encoding_array()
-    per_input = 0.5 * (1.0 + sign_matrix(n) * (points @ dirs.T))
+    s, neutral = _norm_sum_and_neutral(dirs)  # guarded before the dense cell matrix
+    per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encoding_array() @ dirs.T))
     np.clip(per_input, 0.0, 1.0, out=per_input)
     return CodeReport(
         per_input=per_input,
         average=float(per_input.mean()),
         worst_case=float(per_input.min()),
-        s_value=s_value(code.measurements),
-        neutral_strings=neutral_strings(code.measurements),
+        s_value=s,
+        neutral_strings=neutral,
     )
 
 
@@ -249,19 +301,14 @@ def parallelogram_check(measurements: Sequence[Measurement]) -> bool:
     PARALLELOGRAM_TOLERANCE * 2^n.
     """
     n = len(measurements)
-    if n < 1:
-        raise ValueError("need at least one measurement")
     if n > MAX_PARALLELOGRAM:
         raise CostLimitError(
             f"identity check enumerates 2**n terms; n = {n} exceeds the limit {MAX_PARALLELOGRAM}"
         )
-    dirs = _direction_array(measurements)
     total = 0.0
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        sums = sign_matrix(n, start, stop) @ dirs
+    for _, sums, _ in _signed_sums(_direction_array(measurements)):
         total += float((sums * sums).sum())
-    return abs(total - n * (1 << n)) <= PARALLELOGRAM_TOLERANCE * (1 << n)
+    return abs(2.0 * total - n * (1 << n)) <= PARALLELOGRAM_TOLERANCE * (1 << n)
 
 
 def classical_comparison_scan(
@@ -286,7 +333,7 @@ def classical_comparison_scan(
         classical = float(optimal_classical_probability(n))
         for index in range(sets_per_n):
             dirs = uniform_directions(n, rng)
-            average = 0.5 * (1.0 + sign_pattern_norm_sum(dirs) / (n * (1 << n)))
+            average = probability_from_s_value(_norm_sum_and_neutral(dirs)[0], n)
             if average < classical - 1e-12:
                 violations.append((n, index, average, classical))
     return violations

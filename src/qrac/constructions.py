@@ -18,7 +18,7 @@ import numpy as np
 
 from .bloch import BlochVector, Measurement, state_from_bloch
 from .classical import BitString
-from .codes import QracCode, optimal_code, sign_pattern_norm_sum
+from .codes import QracCode, optimal_code, probability_from_s_value, s_value
 
 #: Golden ratio; vertex coordinate of the icosahedral solids.
 _TAU = (1.0 + math.sqrt(5.0)) / 2.0
@@ -91,12 +91,6 @@ def _icosidodecahedron_axes() -> tuple[BlochVector, ...]:
             axes.append(_unit(_TAU * _TAU, s1 * 1.0, s2 * _TAU))
             axes.append(_unit(_TAU, s1 * _TAU * _TAU, s2 * 1.0))
     return tuple(axes)
-
-
-def _computed_probability(measurements: Sequence[BlochVector]) -> float:
-    n = len(measurements)
-    dirs = np.array([(v.x, v.y, v.z) for v in measurements])
-    return 0.5 * (1.0 + sign_pattern_norm_sum(dirs) / (n * (1 << n)))
 
 
 def _registry() -> dict[str, NamedConstruction]:
@@ -174,7 +168,8 @@ def _registry() -> dict[str, NamedConstruction]:
     registry: dict[str, NamedConstruction] = {}
     for name, measurements, value, form in entries:
         if value is None:
-            value = _computed_probability(measurements)
+            s = s_value(tuple(Measurement(v) for v in measurements))
+            value = probability_from_s_value(s, len(measurements))
         registry[name] = NamedConstruction(name, measurements, value, form)
     return registry
 
@@ -328,9 +323,8 @@ def encoding_polynomial_check(name: str, poly: Sequence[int]) -> bool:
     """
     if not poly or all(c == 0 for c in poly):
         raise ValueError("polynomial must have a nonzero coefficient")
-    code = known_code(name)
-    for point in code.encodings.values():
-        b = state_from_bloch(point).beta
+    for row in known_code(name).encoding_array():
+        b = state_from_bloch(BlochVector.from_array(row)).beta
         value = complex(poly[-1])
         scale = float(abs(poly[-1]))
         magnitude = abs(b)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import BlochVector, Measurement
-from .codes import sign_matrix
+from .codes import probability_from_s_value, sign_matrix
 from .errors import CostLimitError
 
 #: Search is limited to this range: each objective evaluation costs O(n * 2^n).
@@ -74,10 +74,6 @@ class OptimizationReport:
     config: OptimizerConfig
     traces: tuple[RestartTrace, ...]
     best_restart: int
-
-
-def _probability_from_norm_sum(s: float, n: int) -> float:
-    return 0.5 * (1.0 + s / (n * (1 << n)))
 
 
 def _norm_sum(dirs: np.ndarray, signs: np.ndarray) -> float:
@@ -170,7 +166,6 @@ def optimize(
             f"each objective evaluation costs O(n*2^n); n = {n} exceeds the limit {MAX_OPTIMIZE_N}"
         )
     signs = sign_matrix(n)
-    scale = n * (1 << n)
 
     def objective(params: np.ndarray) -> float:
         return -_norm_sum(_directions_gauged(params, n), signs)
@@ -193,7 +188,7 @@ def optimize(
             RestartTrace(
                 restart=restart,
                 s_value=-f,
-                probability=_probability_from_norm_sum(-f, n),
+                probability=probability_from_s_value(-f, n),
                 iterations=iterations,
                 converged=converged,
             )
@@ -212,7 +207,7 @@ def optimize(
     report = OptimizationReport(
         n=n, config=config, traces=tuple(traces), best_restart=best_restart
     )
-    return measurements, _probability_from_norm_sum(s, n), report
+    return measurements, probability_from_s_value(s, n), report
 
 
 def polish(
@@ -251,8 +246,8 @@ def polish(
     params, f, _, _ = _descend(objective, start, config)
     improvement = -f - start_s
     if improvement <= max(config.tolerance, 1e-12):
-        return measurements, _probability_from_norm_sum(start_s, n)
+        return measurements, probability_from_s_value(start_s, n)
     out = _directions_full(params, n)
     out /= np.linalg.norm(out, axis=1)[:, None]
     polished = tuple(Measurement(BlochVector.from_array(row)) for row in out)
-    return polished, _probability_from_norm_sum(_norm_sum(out, signs), n)
+    return polished, probability_from_s_value(_norm_sum(out, signs), n)

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from qrac.bloch import BlochVector, Measurement
 from qrac.cli import SCHEMA_VERSION, code_document, code_from_document, main
-from qrac.codes import evaluate
+from qrac.codes import evaluate, optimal_code
 from qrac.constructions import known_code, known_construction
 
 
@@ -168,6 +169,27 @@ def test_eval_rejects_wrong_schema_version(tmp_path, capsys):
     code, _, err = run(capsys, "code", "eval", "--json", str(path))
     assert code == 2
     assert "schema_version" in err
+
+
+def test_eval_rejects_boolean_n(tmp_path, capsys):
+    # a valid one-bit document, except that n is the JSON literal true
+    path = tmp_path / "code.json"
+    document = code_document(optimal_code((Measurement(BlochVector(0.0, 0.0, 1.0)),)))
+    document["n"] = True
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "code", "eval", "--json", str(path))
+    assert code == 2
+    assert "n must be a positive integer" in err
+
+
+def test_eval_rejects_malformed_encoding_key(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac2"))
+    document["encodings"]["0x"] = document["encodings"].pop("11")
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "code", "eval", "--json", str(path))
+    assert code == 2
+    assert "'0x'" in err
 
 
 def test_eval_missing_file(capsys, tmp_path):

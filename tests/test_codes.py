@@ -7,10 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrac.bloch import BlochVector, Measurement, uniform_directions
 from qrac.classical import BitString, optimal_classical_probability
 from qrac.codes import (
+    NEUTRAL_CUTOFF,
     NEUTRAL_FALLBACK,
     CodeReport,
     QracCode,
@@ -96,6 +99,15 @@ def test_s_value_cost_guard():
     ms = tuple(Z for _ in range(25))
     with pytest.raises(CostLimitError):
         s_value(ms)
+
+
+def test_every_enumeration_shares_the_cost_guard():
+    ms = tuple(Z for _ in range(25))
+    for enumerate_patterns in (optimal_code, optimal_encoding, neutral_strings):
+        with pytest.raises(CostLimitError):
+            enumerate_patterns(ms)
+    with pytest.raises(CostLimitError):
+        classical_comparison_scan([25], 1)
 
 
 def test_s_value_cauchy_schwarz_cap(rng):
@@ -241,3 +253,61 @@ def test_comparison_scan_reports_tuples_shape():
 
 def test_comparison_scan_classical_reference():
     assert float(optimal_classical_probability(3)) == 0.75
+
+
+# ------------------------------------------- sign-pattern kernel equivalence
+
+
+@st.composite
+def direction_sets(draw) -> tuple[Measurement, ...]:
+    """1..10 directions: random, coordinate axes, repeats and antipodes of earlier ones.
+
+    Repeats and antipodes make signed sums cancel, so neutral strings and
+    their complements occur; axes put exact zeros into the sums.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    fresh = uniform_directions(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    rows: list[np.ndarray] = []
+    for i in range(n):
+        kinds = ("fresh", "axis", "repeat", "antipode") if i else ("fresh", "axis")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            rows.append(fresh[i])
+        elif kind == "axis":
+            rows.append(np.eye(3)[draw(st.integers(0, 2))])
+        else:
+            earlier = rows[draw(st.integers(0, i - 1))]
+            rows.append(earlier if kind == "repeat" else -earlier)
+    return tuple(Measurement(BlochVector.from_array(row)) for row in rows)
+
+
+def _per_string_reference(ms):
+    """Encodings, neutral strings and norm sum, one input string at a time."""
+    n = len(ms)
+    points, neutral, total = [], [], 0.0
+    for index in range(1 << n):
+        x = BitString.from_index(index, n)
+        v = signed_direction_sum(ms, x)
+        norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        total += norm
+        if norm < NEUTRAL_CUTOFF:
+            neutral.append(x)
+            points.append(NEUTRAL_FALLBACK.as_array())
+        else:
+            points.append(v / norm)
+    return np.array(points), tuple(neutral), total
+
+
+@settings(max_examples=150, deadline=None)
+@given(ms=direction_sets())
+def test_kernel_matches_per_string_reference(ms):
+    points, neutral, total = _per_string_reference(ms)
+    code = optimal_code(ms)
+    assert code.encoding_array().tobytes() == points.tobytes()  # bit-equal, signed zeros too
+    encodings = optimal_encoding(ms)
+    assert all(encodings[x] == BlochVector.from_array(points[x.index]) for x in encodings)
+    assert neutral_strings(ms) == neutral
+    assert s_value(ms) == pytest.approx(total, rel=1e-12)
+    report = evaluate(code)
+    assert report.neutral_strings == neutral
+    assert report.s_value == s_value(ms)
