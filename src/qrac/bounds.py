@@ -28,6 +28,11 @@ MAX_LATTICE_WALK = 60
 _CHUNK = 1 << 18
 
 
+def _walk_probability(distance: float, n: int) -> float:
+    """The success probability a mean walk distance certifies: (1 + d/n)/2."""
+    return 0.5 * (1.0 + distance / n)
+
+
 @dataclass(frozen=True)
 class WalkEstimate:
     """Monte Carlo estimate of the mean endpoint distance of an n-step walk."""
@@ -41,7 +46,7 @@ class WalkEstimate:
     @property
     def probability(self) -> float:
         """The success probability this walk distance certifies: (1 + d/n)/2."""
-        return 0.5 * (1.0 + self.mean_distance / self.n)
+        return _walk_probability(self.mean_distance, self.n)
 
     @property
     def probability_std_error(self) -> float:
@@ -148,7 +153,7 @@ def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:
         raise ValueError(f"n must lie in 1..{MAX_LATTICE_WALK}, got {n}")
     base, extra = divmod(n, 3)
     split = tuple(base + 1 if i < extra else base for i in range(3))
-    probability = 0.5 * (1.0 + lattice_walk_distance(*split) / n)
+    probability = _walk_probability(lattice_walk_distance(*split), n)
     return probability, (split[0], split[1], split[2])
 
 
@@ -167,7 +172,7 @@ def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
     for x in range((n + 2) // 3, n + 1):
         for y in range((n - x + 1) // 2, min(x, n - x) + 1):
             z = n - x - y
-            probability = 0.5 * (1.0 + lattice_walk_distance(x, y, z) / n)
+            probability = _walk_probability(lattice_walk_distance(x, y, z), n)
             if probability > best_probability:
                 best_probability = probability
                 best_split = (x, y, z)

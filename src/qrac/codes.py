@@ -32,6 +32,10 @@ NEUTRAL_FALLBACK = BlochVector(0.0, 0.0, 1.0)
 #: Hard guard for every 2^n sign-pattern enumeration (the kernel _signed_sums).
 MAX_SIGN_ENUMERATION = 24
 
+#: Hard guard for evaluate: its per-cell matrices are (2^n, n) float64, 8 * n * 2^n
+#: bytes each (38 MB at n = 18), several alive at once.
+MAX_EVALUATE = 18
+
 #: Hard guard for the 2^n enumeration in parallelogram_check.
 MAX_PARALLELOGRAM = 20
 
@@ -269,8 +273,14 @@ class CodeReport:
 
 def evaluate(code: QracCode) -> CodeReport:
     """Score a code: per-cell success probabilities plus their aggregates."""
+    if code.n > MAX_EVALUATE:
+        matrix_bytes = 8 * code.n * (1 << code.n)
+        raise CostLimitError(
+            f"per-cell scoring holds (2**n, n) float64 matrices of {matrix_bytes} bytes each; "
+            f"n = {code.n} exceeds the limit {MAX_EVALUATE}"
+        )
     dirs = code.measurement_array()
-    s, neutral = _norm_sum_and_neutral(dirs)  # guarded before the dense cell matrix
+    s, neutral = _norm_sum_and_neutral(dirs)
     per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encoding_array() @ dirs.T))
     np.clip(per_input, 0.0, 1.0, out=per_input)
     return CodeReport(

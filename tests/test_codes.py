@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qrac.bloch import BlochVector, Measurement, uniform_directions
 from qrac.classical import BitString, optimal_classical_probability
 from qrac.codes import (
+    MAX_EVALUATE,
     NEUTRAL_CUTOFF,
     NEUTRAL_FALLBACK,
     CodeReport,
@@ -108,6 +109,13 @@ def test_every_enumeration_shares_the_cost_guard():
             enumerate_patterns(ms)
     with pytest.raises(CostLimitError):
         classical_comparison_scan([25], 1)
+
+
+def test_evaluate_cost_guard_states_matrix_bytes(rng):
+    n = MAX_EVALUATE + 1
+    code = optimal_code(random_measurements(n, rng))
+    with pytest.raises(CostLimitError, match=f"{8 * n * 2**n} bytes"):
+        evaluate(code)
 
 
 def test_s_value_cauchy_schwarz_cap(rng):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qrac
 from qrac.bloch import BlochVector, Measurement
 from qrac.bounds import orthogonal_lower_bound
 from qrac.codes import evaluate, optimal_code, upper_bound
@@ -24,8 +30,16 @@ def test_config_defaults_and_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(initial_step=0.0)
+
+
+def test_import_does_not_load_scipy():
+    # the search is numpy-only; scipy is a test dependency, not a runtime one
+    env = dict(os.environ, PYTHONPATH=str(Path(qrac.__file__).resolve().parent.parent))
+    script = "import sys, qrac; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_size_guards():
@@ -118,12 +132,15 @@ def test_polish_reproduces_qrac6_value():
 
 
 def test_polish_is_monotone(rng):
-    for _ in range(6):
-        ms = random_measurements(4, rng)
-        before = evaluate(optimal_code(ms)).average
-        polished, after = polish(ms)
-        assert after >= before - 1e-12
-        assert after == pytest.approx(evaluate(optimal_code(polished)).average, abs=1e-10)
+    for n in range(2, 9):
+        for _ in range(6):
+            ms = random_measurements(n, rng)
+            before = evaluate(optimal_code(ms)).average
+            polished, after = polish(ms)
+            assert after >= before - 1e-12
+            assert after == pytest.approx(evaluate(optimal_code(polished)).average, abs=1e-10)
+            # the see-saw output is a fixed point: polishing again changes nothing
+            assert polish(polished) == (polished, after)
 
 
 def test_polish_single_measurement_is_trivial():
