@@ -5,7 +5,8 @@ optimally afterwards, which turns the average probability into the mean
 distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate and a closed-form asymptote;
-axis-aligned directions give an exactly summable lattice walk.
+axis-aligned directions give an exactly summable lattice walk, evaluated
+as one array of exactly weighted terms and a correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import CostLimitError
 #: does not apply; callers that present it as a bound should say so.
 ASYMPTOTIC_VALID_FROM = 4
 
-#: Hard guard on the total step count of the exact lattice walk.
+#: Hard guard on the total step count of the exact lattice walk.  The
+#: binomial weight products are at most 2^n and must stay exact in int64,
+#: and the walk sums (x+1)(y+1)(z+1) terms, about n^3/27 for an even split.
 MAX_LATTICE_WALK = 60
 
 #: Monte Carlo trials are processed in blocks of this many rows.
@@ -115,7 +118,10 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     Each step goes one unit along its axis with a uniform random sign, so the
     endpoint after i of the x-steps were negative (and similarly j, k) is
     (x-2i, y-2j, z-2k), weighted by the product of binomials over 2^(x+y+z).
-    Binomials are exact integers; only the square roots are floating point.
+    The weight products are exact int64 integers (at most 2^n); each term is
+    one rounding of weight * sqrt(squared distance), and math.fsum adds the
+    terms with a single final rounding, so the result does not depend on
+    the order of the terms.
     """
     if min(x, y, z) < 0:
         raise ValueError(f"step counts must be nonnegative, got ({x}, {y}, {z})")
@@ -124,20 +130,17 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
         raise ValueError("need at least one step")
     if n > MAX_LATTICE_WALK:
         raise CostLimitError(
-            f"lattice walk weights overflow doubles past {MAX_LATTICE_WALK} steps, got {n}"
+            f"lattice walk of {n} steps sums {(x + 1) * (y + 1) * (z + 1)} terms with "
+            f"int64 weights up to 2**{n}; the limit is {MAX_LATTICE_WALK} steps"
         )
-    bx = [math.comb(x, i) for i in range(x + 1)]
-    by = [math.comb(y, j) for j in range(y + 1)]
-    bz = [math.comb(z, k) for k in range(z + 1)]
-    terms = [
-        bx[i] * by[j] * bz[k] * math.sqrt(
-            (x - 2 * i) ** 2 + (y - 2 * j) ** 2 + (z - 2 * k) ** 2
-        )
-        for i in range(x + 1)
-        for j in range(y + 1)
-        for k in range(z + 1)
-    ]
-    return math.fsum(terms) / (1 << n)
+    bx, by, bz = (
+        np.array([math.comb(m, i) for i in range(m + 1)], dtype=np.int64) for m in (x, y, z)
+    )
+    dx, dy, dz = ((m - 2 * np.arange(m + 1, dtype=np.int64)) ** 2 for m in (x, y, z))
+    weights = bx[:, None, None] * by[None, :, None] * bz[None, None, :]
+    squared = dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
+    terms = weights * np.sqrt(squared)
+    return math.fsum(terms.ravel().tolist()) / (1 << n)
 
 
 def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:

@@ -90,6 +90,29 @@ def _vector_from_json(raw: object, context: str) -> BlochVector:
     raise ValueError(f"{context}: vector norm {norm!r} is too far from 1")
 
 
+def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
+    """All encoding vectors in key order by _vector_from_json's rule, as one array.
+
+    Returns None when any row is not a 3-vector within _REJECT_NORM of unit
+    norm; the caller then checks the rows one at a time, so that the error
+    names the first bad key in document order.
+    """
+    try:
+        rows = np.array(list(encodings_raw.values()), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if rows.shape != (len(encodings_raw), 3):
+        return None
+    squares = rows * rows
+    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+    deviation = np.abs(norm - 1.0)
+    if not np.all(deviation <= _REJECT_NORM):
+        return None
+    rescale = deviation > _KEEP_NORM
+    rows[rescale] /= norm[rescale, None]
+    return rows
+
+
 def code_from_document(document: dict) -> tuple[QracCode, dict]:
     """Rebuild a code from its JSON form; returns (code, metadata)."""
     if not isinstance(document, dict):
@@ -111,11 +134,17 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
         for i, raw in enumerate(measurements_raw)
     )
     points = np.empty((1 << n, 3))
+    rows = _bulk_unit_rows(encodings_raw)
+    indices = []
     for key, raw in encodings_raw.items():
         if len(key) != n or key.strip("01"):
             raise ValueError(f"encoding key {key!r} is not a string of {n} bits")
-        r = _vector_from_json(raw, f"encoding {key!r}")
-        points[int(key[::-1], 2)] = (r.x, r.y, r.z)
+        indices.append(int(key[::-1], 2))
+        if rows is None:
+            r = _vector_from_json(raw, f"encoding {key!r}")
+            points[indices[-1]] = (r.x, r.y, r.z)
+    if rows is not None:
+        points[indices] = rows
     metadata = document.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")

@@ -3,8 +3,9 @@
 Each named construction fixes the measurement directions; the encodings are
 always derived as the normalized signed direction sums.  The geometry
 helpers expose the polyhedra those encodings land on, count the regions the
-measurement great circles cut the sphere into, and check the algebraic
-equations satisfied by the encoding amplitudes.
+measurement great circles cut the sphere into (all pairs of circles at
+once, as arrays, with a sort-and-sweep vertex merge), and check the
+algebraic equations satisfied by the encoding amplitudes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .bloch import BlochVector, Measurement, state_from_bloch
 from .classical import BitString
 from .codes import QracCode, optimal_code, probability_from_s_value, s_value
+from .errors import CostLimitError
 
 #: Golden ratio; vertex coordinate of the icosahedral solids.
 _TAU = (1.0 + math.sqrt(5.0)) / 2.0
@@ -28,6 +30,17 @@ CLUSTER_TOLERANCE = 1e-9
 
 #: Circles whose normals are parallel within this are considered coincident.
 COINCIDENT_TOLERANCE = 1e-9
+
+#: Hard guard on the circle count of an arrangement: k circles give k(k-1)
+#: intersection points, each pass over them holding 24*k(k-1) bytes.
+MAX_CIRCLES = 1000
+
+#: Intersection points that round to the same cell of this side are one vertex.
+_SNAP = 1e-12
+
+#: Sort direction of the vertex sweep; its irrational slopes keep the
+#: rational and golden-ratio coordinates of the named sets apart.
+_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi**2)
 
 #: Residual tolerance factor for encoding_polynomial_check.
 POLYNOMIAL_TOLERANCE = 1e-6
@@ -245,7 +258,11 @@ def polyhedron_vertices(name: str) -> tuple[BlochVector, ...]:
 
 @dataclass(frozen=True)
 class GreatCircleArrangement:
-    """Great circles on the unit sphere, one per normal; antipodes identified."""
+    """Great circles on the unit sphere, one per normal; antipodes identified.
+
+    Building one checks every pair of circles at once, so it is refused with
+    CostLimitError above MAX_CIRCLES circles before anything is allocated.
+    """
 
     normals: tuple[BlochVector, ...]
 
@@ -253,18 +270,49 @@ class GreatCircleArrangement:
         if not self.normals:
             raise ValueError("need at least one circle")
         object.__setattr__(self, "normals", tuple(self.normals))
-        arr = [v.as_array() for v in self.normals]
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                if float(np.linalg.norm(np.cross(arr[i], arr[j]))) < COINCIDENT_TOLERANCE:
-                    raise ValueError(
-                        f"circles {i + 1} and {j + 1} coincide (parallel normals)"
-                    )
+        k = len(self.normals)
+        if k > MAX_CIRCLES:
+            points = k * (k - 1)
+            raise CostLimitError(
+                f"{k} circles meet in {points} intersection points "
+                f"({24 * points} bytes as float64 3-vectors); "
+                f"the limit is {MAX_CIRCLES} circles"
+            )
+        first, second, cross = _pair_crosses(self.normals)
+        coincident = np.flatnonzero(np.linalg.norm(cross, axis=1) < COINCIDENT_TOLERANCE)
+        if coincident.size:
+            i, j = first[coincident[0]], second[coincident[0]]
+            raise ValueError(f"circles {i + 1} and {j + 1} coincide (parallel normals)")
 
 
-def _cluster_labels(points: list[np.ndarray], tolerance: float) -> list[int]:
-    """Union-find labels merging points within chordal `tolerance`."""
-    parent = list(range(len(points)))
+def _pair_crosses(normals: Sequence[BlochVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross products of every pair i < j of normals, row-major in (i, j)."""
+    arr = np.array([v.as_array() for v in normals])
+    first, second = np.triu_indices(len(arr), 1)
+    return first, second, np.cross(arr[first], arr[second])
+
+
+def _cluster_labels(points: np.ndarray, tolerance: float) -> np.ndarray:
+    """Labels merging points within chordal `tolerance`, transitively.
+
+    Points are sorted by the projection of their _SNAP cell on _SWEEP_AXIS,
+    and neighbours in one cell become one vertex outright: they lie closer
+    than sqrt(3)*_SNAP, far inside `tolerance`.  This step keeps the sweep
+    linear when many circles pass through one point.  The sweep then tests
+    every pair of cell representatives whose cell projections lie within
+    2*tolerance, at growing sort offsets until no such pair is left, and
+    joins those closer than `tolerance`; the doubled window covers the
+    distance from a point to its cell.  Points nearer than `tolerance`
+    whose representatives are not (a margin of 2*sqrt(3)*_SNAP) are the
+    only ones an all-pairs merge would join and this one would not.
+    """
+    cells = np.round(points / _SNAP)
+    order = np.argsort(cells @ _SWEEP_AXIS, kind="stable")
+    cells = cells[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(cells[1:] != cells[:-1], axis=1))))
+    reps = points[order[starts]]
+    projection = (cells[starts] @ _SWEEP_AXIS) * _SNAP
+    parent = np.arange(len(reps))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -272,13 +320,26 @@ def _cluster_labels(points: list[np.ndarray], tolerance: float) -> list[int]:
             a = parent[a]
         return a
 
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if float(np.linalg.norm(points[i] - points[j])) < tolerance:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return [find(i) for i in range(len(points))]
+    for offset in range(1, len(reps)):
+        near = np.flatnonzero(projection[offset:] - projection[:-offset] < 2.0 * tolerance)
+        if not near.size:
+            break
+        close = np.linalg.norm(reps[near] - reps[near + offset], axis=1) < tolerance
+        for i in near[close].tolist():
+            ri, rj = find(i), find(i + offset)
+            if ri != rj:
+                parent[ri] = rj
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    labels = np.empty(len(points), dtype=np.int64)
+    labels[order] = np.repeat(parent, np.diff(np.append(starts, len(points))))
+    return labels
+
+
+def _distinct(values: np.ndarray) -> int:
+    """Number of distinct integers; a sort is far faster than np.unique's hashing."""
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def count_sphere_regions(arr: GreatCircleArrangement) -> int:
@@ -287,27 +348,20 @@ def count_sphere_regions(arr: GreatCircleArrangement) -> int:
     Vertices are clustered intersection points (so three or more circles
     through one point count it once); each circle contributes one edge per
     distinct vertex on it; regions = edges - vertices + 2.  A single circle
-    has no intersections and cuts the sphere into two parts.
+    has no intersections and cuts the sphere into two parts.  The k(k-1)
+    intersection points are built and clustered as arrays, in
+    O(k^2 log k) time and O(k^2) memory.
     """
-    normals = [v.as_array() for v in arr.normals]
-    k = len(normals)
+    k = len(arr.normals)
     if k == 1:
         return 2
-    points: list[np.ndarray] = []
-    generators: list[tuple[int, int]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            cross = np.cross(normals[i], normals[j])
-            point = cross / float(np.linalg.norm(cross))
-            points.extend((point, -point))
-            generators.extend(((i, j), (i, j)))
-    labels = _cluster_labels(points, CLUSTER_TOLERANCE)
-    vertices = len(set(labels))
-    incident: list[set[int]] = [set() for _ in range(k)]
-    for label, (i, j) in zip(labels, generators):
-        incident[i].add(label)
-        incident[j].add(label)
-    edges = sum(len(s) for s in incident)
+    first, second, cross = _pair_crosses(arr.normals)
+    unit = cross / np.linalg.norm(cross, axis=1)[:, None]
+    labels = _cluster_labels(np.concatenate((unit, -unit)), CLUSTER_TOLERANCE)
+    vertices = _distinct(labels)
+    # each point lies on the two circles of its pair; code (vertex, circle) as one int
+    incidences = np.concatenate((labels * k + np.tile(first, 2), labels * k + np.tile(second, 2)))
+    edges = _distinct(incidences)
     return edges - vertices + 2
 
 

@@ -5,7 +5,8 @@ direction for the requested position, and checks the answer.  With
 randomization on, both parties first mask the input with a shared uniform
 n-bit string and a shared uniform cyclic shift; the deterministic code then
 sees a uniform effective input, so every (input, position) cell estimates
-the same value — the deterministic code's average.
+the same value — the deterministic code's average.  A run costs
+2^n * n * trials cell-trials and is refused above MAX_CELL_TRIALS.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import numpy as np
 from .bloch import BlochVector, Measurement, outcome_probabilities
 from .classical import BitString
 from .codes import QracCode
+from .errors import CostLimitError
+
+#: Hard guard on 2^n * n * trials_per_input, the cell-trials of one run; the
+#: largest run in the tests is qrac6 at 100,000 trials (3.84e7 cell-trials).
+MAX_CELL_TRIALS = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +86,10 @@ def _uniform_shifts(rng: np.random.Generator, n: int, trials: int) -> np.ndarray
         return np.zeros(trials, dtype=np.int64)
     block = 1 << (n - 1).bit_length()
     draws = rng.integers(0, block, size=trials, dtype=np.int64)
-    rejected = draws >= n
-    while rejected.any():
-        draws[rejected] = rng.integers(0, block, size=int(rejected.sum()), dtype=np.int64)
-        rejected = draws >= n
+    pending = np.flatnonzero(draws >= n)
+    while pending.size:
+        draws[pending] = rng.integers(0, block, size=pending.size, dtype=np.int64)
+        pending = pending[draws[pending] >= n]
     return draws
 
 
@@ -102,6 +108,12 @@ def simulate_code(
     if trials_per_input < 1:
         raise ValueError(f"trials_per_input must be at least 1, got {trials_per_input}")
     n = code.n
+    cell_trials = (1 << n) * n * trials_per_input
+    if cell_trials > MAX_CELL_TRIALS:
+        raise CostLimitError(
+            f"simulation runs 2**{n} * {n} * {trials_per_input} = {cell_trials} "
+            f"cell-trials; the limit is {MAX_CELL_TRIALS}"
+        )
     dirs = code.measurement_array()
     points = code.encoding_array()
     mask = (1 << n) - 1

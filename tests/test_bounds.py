@@ -9,6 +9,7 @@ import pytest
 
 from qrac.bounds import (
     ASYMPTOTIC_VALID_FROM,
+    MAX_LATTICE_WALK,
     WalkEstimate,
     best_axis_split,
     lattice_walk_distance,
@@ -18,6 +19,8 @@ from qrac.bounds import (
 )
 from qrac.codes import upper_bound
 from qrac.errors import CostLimitError
+
+from helpers import reference_lattice_walk_distance
 
 TABLE_ASYMPTOTIC = {
     2: 0.825735,
@@ -142,8 +145,29 @@ def test_lattice_walk_validation():
         lattice_walk_distance(0, 0, 0)
     with pytest.raises(ValueError):
         lattice_walk_distance(-1, 2, 0)
-    with pytest.raises(CostLimitError):
+    with pytest.raises(CostLimitError, match="int64 weights up to 2\\*\\*61"):
         lattice_walk_distance(30, 30, 1)
+
+
+def test_lattice_walk_matches_reference_bitwise():
+    for n in range(1, 25):
+        for x in range(n + 1):
+            for y in range(n - x + 1):
+                z = n - x - y
+                assert lattice_walk_distance(x, y, z) == reference_lattice_walk_distance(x, y, z)
+
+
+def test_axis_bounds_match_reference_bitwise():
+    for n in range(1, MAX_LATTICE_WALK + 1):
+        split = orthogonal_lower_bound(n)[1]
+        assert orthogonal_lower_bound(n)[0] == 0.5 * (1.0 + reference_lattice_walk_distance(*split) / n)
+        scan = [
+            (0.5 * (1.0 + reference_lattice_walk_distance(x, y, n - x - y) / n), (x, y, n - x - y))
+            for x in range((n + 2) // 3, n + 1)
+            for y in range((n - x + 1) // 2, min(x, n - x) + 1)
+        ]
+        # the first maximum in scan order, as best_axis_split keeps it
+        assert best_axis_split(n) == max(scan, key=lambda entry: entry[0]), n
 
 
 def test_orthogonal_lower_bound_table():

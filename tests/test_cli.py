@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from qrac.bloch import BlochVector, Measurement
-from qrac.cli import SCHEMA_VERSION, code_document, code_from_document, main
+from qrac.cli import SCHEMA_VERSION, _vector_from_json, code_document, code_from_document, main
 from qrac.codes import evaluate, optimal_code
-from qrac.constructions import known_code, known_construction
+from qrac.constructions import MAX_CIRCLES, known_code, known_construction
+
+from helpers import random_measurements
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -192,6 +194,42 @@ def test_eval_rejects_malformed_encoding_key(tmp_path, capsys):
     assert "'0x'" in err
 
 
+def test_encoding_rows_load_as_one_at_a_time(rng):
+    # the bulk loader keeps, renormalizes and rejects rows exactly as _vector_from_json does
+    document = code_document(optimal_code(random_measurements(7, rng)))
+    for key, scale in zip(list(document["encodings"])[::9], (1 + 4e-13, 1 - 6e-10, 1 + 3e-11) * 5):
+        document["encodings"][key] = [c * scale for c in document["encodings"][key]]
+    expected = np.empty((1 << 7, 3))
+    for key, raw in document["encodings"].items():
+        expected[int(key[::-1], 2)] = _vector_from_json(raw, key).as_array()
+    code, _ = code_from_document(json.loads(json.dumps(document)))
+    assert np.array_equal(code.encoding_array(), expected)
+
+
+def test_eval_names_the_first_bad_encoding(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac3"))
+    document["encodings"]["110"] = [2.0, 0.0, 0.0]
+    document["encodings"]["011"] = [0.0, 1.0]
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "code", "eval", "--json", str(path))
+    assert code == 2
+    assert "encoding '110': vector norm 2.0 is too far from 1" in err
+
+
+def test_load_errors_keep_document_order():
+    # keys and rows are checked in one pass: whichever bad entry comes first is named
+    document = code_document(known_code("qrac3"))
+    encodings = document["encodings"]
+    encodings["010"] = [0.0, 0.0, 2.0]
+    encodings["1x1"] = encodings.pop("111")
+    with pytest.raises(ValueError, match="encoding '010': vector norm"):
+        code_from_document(document)
+    document["encodings"] = {"1x1": encodings.pop("1x1"), **encodings}
+    with pytest.raises(ValueError, match="encoding key '1x1'"):
+        code_from_document(document)
+
+
 def test_eval_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "code", "eval", "--json", str(tmp_path / "nope.json"))
     assert code == 2
@@ -296,6 +334,15 @@ def test_simulate_zero_trials_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_simulate_cost_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "qrac9.json"
+    run(capsys, "code", "show", "--name", "qrac9", "--json", str(path))
+    code, out, err = run(capsys, "simulate", "--json", str(path), "--trials", "30000")
+    assert code == 3
+    assert out == ""
+    assert "2**9 * 9 * 30000 = 138240000 cell-trials" in err
+
+
 # ------------------------------------------------------------------- regions
 
 
@@ -334,6 +381,16 @@ def test_regions_export_geometry(capsys, tmp_path):
     assert len(document["points"]) == 3 + 8
     labels = [p["label"] for p in document["points"] if p["kind"] == "measurement"]
     assert labels == ["v1", "v2", "v3"]
+
+
+def test_regions_cost_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "circles.json"
+    k = MAX_CIRCLES + 1
+    path.write_text(json.dumps(np.random.default_rng(0).standard_normal((k, 3)).tolist()))
+    code, out, err = run(capsys, "regions", "--circles", str(path))
+    assert code == 3
+    assert out == ""
+    assert f"{k * (k - 1)} intersection points" in err
 
 
 def test_regions_requires_a_source(capsys):

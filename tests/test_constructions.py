@@ -7,12 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from qrac.bloch import BlochVector
+from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import BitString
 from qrac.codes import evaluate, signed_direction_sum, upper_bound
 from qrac.constructions import (
+    CLUSTER_TOLERANCE,
     CONSTRUCTIONS,
+    MAX_CIRCLES,
     GreatCircleArrangement,
+    _SWEEP_AXIS,
+    _cluster_labels,
     classify_string,
     construction_names,
     count_sphere_regions,
@@ -22,6 +26,9 @@ from qrac.constructions import (
     polyhedron_names,
     polyhedron_vertices,
 )
+from qrac.errors import CostLimitError
+
+from helpers import reference_cluster_labels, reference_region_count
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
 
@@ -296,8 +303,6 @@ def test_region_counts_for_named_sets():
 
 def test_region_count_generic_position(rng):
     # k circles in general position split the sphere into k(k-1)+2 regions
-    from qrac.bloch import uniform_directions
-
     for k in range(1, 9):
         while True:
             rows = uniform_directions(k, rng)
@@ -317,6 +322,99 @@ def test_duplicate_normals_rejected():
         GreatCircleArrangement(normals=(z, -z))
     with pytest.raises(ValueError):
         GreatCircleArrangement(normals=())
+
+
+def test_first_coincident_pair_is_reported():
+    x, y, z = BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, 1.0, 0.0), BlochVector(0.0, 0.0, 1.0)
+    # pairs are checked in the order (1,2), (1,3), ..., (2,3), ...; (2,4) comes after (1,5)
+    with pytest.raises(ValueError, match="circles 1 and 5 coincide"):
+        GreatCircleArrangement(normals=(x, y, z, -y, x))
+
+
+def test_arrangement_cost_guard_states_points_and_bytes():
+    k = MAX_CIRCLES + 1
+    normals = tuple(BlochVector(1.0, 0.0, 0.0) for _ in range(k))  # refused before any check
+    points = k * (k - 1)
+    with pytest.raises(CostLimitError, match=f"{points} intersection points \\({24 * points} bytes"):
+        GreatCircleArrangement(normals=normals)
+
+
+def _arrangement(rows: np.ndarray) -> GreatCircleArrangement:
+    return GreatCircleArrangement(normals=tuple(BlochVector.from_array(r) for r in rows))
+
+
+def _coplanar(k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct normals in one random plane; every circle passes through its pole."""
+    pole = uniform_directions(1, rng)[0]
+    e1 = np.cross(pole, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(pole, e1)
+    angles = np.pi * (np.arange(k) + rng.uniform(0.1, 0.9, k)) / k
+    return np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2)
+
+
+def test_vertex_merge_matches_all_pairs_merge(rng):
+    # clusters spread over many snap cells, chains that merge only transitively,
+    # and near misses just outside the tolerance
+    tol = CLUSTER_TOLERANCE
+    groups = []
+    for centre in uniform_directions(40, rng):
+        size = int(rng.integers(1, 6))
+        groups.append(centre + rng.uniform(-0.25 * tol, 0.25 * tol, (size, 3)))
+    for centre in uniform_directions(10, rng):
+        step = rng.choice([0.8, 1.5]) * tol * uniform_directions(1, rng)[0]
+        groups.append(centre + np.arange(4)[:, None] * step)
+    # in sweep order a, b, c: a is within tol of b and of c, b and c are 1.8*tol apart;
+    # a far decoy sorts between a and c, so a-c is found only at sort offset 2
+    u = _SWEEP_AXIS
+    for centre in uniform_directions(10, rng):
+        side = np.cross(u, centre)
+        side /= np.linalg.norm(side)
+        b = centre + 0.9 * tol * (0.1 * u + side)
+        c = centre + 0.9 * tol * (0.2 * u - side)
+        decoy = centre + 0.15 * tol * u + 0.5 * np.cross(u, side)
+        groups.append(np.array([centre, b, c, decoy]))
+    points = np.concatenate(groups)
+    labels = _cluster_labels(points, tol).tolist()
+    reference = reference_cluster_labels(points, tol)
+    assert len(set(zip(labels, reference))) == len(set(labels)) == len(set(reference))
+    assert len(set(labels)) < len(points)
+
+
+def test_region_count_matches_reference_on_random_circles(rng):
+    for k in range(1, 31):
+        rows = uniform_directions(k, rng)
+        assert count_sphere_regions(_arrangement(rows)) == reference_region_count(
+            rows, CLUSTER_TOLERANCE
+        ), k
+
+
+def test_region_count_matches_reference_on_polyhedral_axes(rng):
+    # axes of all the polyhedra together: many triple points, shared and not
+    pool: list[np.ndarray] = []
+    for name in polyhedron_names():
+        for v in polyhedron_vertices(name):
+            if all(np.linalg.norm(np.cross(v.as_array(), a)) > 1e-6 for a in pool):
+                pool.append(v.as_array())
+    axes = np.array(pool)
+    for _ in range(40):
+        rows = axes[rng.choice(len(axes), size=int(rng.integers(2, 31)), replace=False)]
+        assert count_sphere_regions(_arrangement(rows)) == reference_region_count(
+            rows, CLUSTER_TOLERANCE
+        )
+
+
+def test_coplanar_circles_cut_the_sphere_into_2k_lunes(rng):
+    for k in (2, 3, 7, 30):
+        rows = _coplanar(k, rng)
+        assert reference_region_count(rows, CLUSTER_TOLERANCE) == 2 * k
+        assert count_sphere_regions(_arrangement(rows)) == 2 * k
+
+
+def test_region_counts_for_two_hundred_circles(rng):
+    k = 200
+    assert count_sphere_regions(_arrangement(uniform_directions(k, rng))) == k * (k - 1) + 2
+    assert count_sphere_regions(_arrangement(_coplanar(k, rng))) == 2 * k
 
 
 # -------------------------------------------------------------- polynomials

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,10 @@ from qrac.bloch import BlochVector, Measurement
 from qrac.classical import BitString
 from qrac.codes import evaluate, optimal_code
 from qrac.constructions import known_code
-from qrac.sim import SimReport, sample_measurement, simulate_code
+from qrac.errors import CostLimitError
+from qrac.sim import MAX_CELL_TRIALS, SimReport, _uniform_shifts, sample_measurement, simulate_code
+
+from helpers import reference_uniform_shifts
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
@@ -69,6 +73,26 @@ def test_report_fields_and_accessor():
 def test_trials_validation():
     with pytest.raises(ValueError):
         simulate_code(known_code("qrac2"), trials_per_input=0, seed=0)
+
+
+def test_uniform_shifts_match_reference_draw_for_draw():
+    for n in (1, 2, 3, 5, 9, 12):
+        for trials in (1, 7, 500):
+            rng, ref = (np.random.Generator(np.random.Philox(key=[n, trials])) for _ in range(2))
+            assert np.array_equal(_uniform_shifts(rng, n, trials), reference_uniform_shifts(ref, n, trials))
+            # Philox keeps its counter and buffers as arrays; compare them as JSON
+            state, ref_state = (
+                json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+                for g in (rng, ref)
+            )
+            assert state == ref_state, (n, trials)
+
+
+def test_cell_trial_guard_states_the_cost():
+    trials = MAX_CELL_TRIALS // 8 + 1  # qrac2 has 2**2 * 2 = 8 cells
+    with pytest.raises(CostLimitError, match=f"2\\*\\*2 \\* 2 \\* {trials} = {8 * trials} cell-trials"):
+        simulate_code(known_code("qrac2"), trials_per_input=trials, seed=0)
+    assert (1 << 6) * 6 * 100_000 <= MAX_CELL_TRIALS  # the largest run in this file
 
 
 def test_seed_determinism():
