@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.codes import QracCode
 
 
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[Measurement, ...]:
@@ -73,7 +74,11 @@ def reference_lattice_walk_distance(x: int, y: int, z: int) -> float:
 
 
 def reference_uniform_shifts(rng: np.random.Generator, n: int, trials: int) -> np.ndarray:
-    """The whole-array rejection loop that sim._uniform_shifts replaced."""
+    """Uniform draws from 0..n-1 by rejection from power-of-two blocks.
+
+    Each round draws one block of ceil(log2(n)) bits for every still-rejected
+    draw, in index order; for n = 1 no randomness is consumed.
+    """
     if n == 1:
         return np.zeros(trials, dtype=np.int64)
     block = 1 << (n - 1).bit_length()
@@ -83,3 +88,45 @@ def reference_uniform_shifts(rng: np.random.Generator, n: int, trials: int) -> n
         draws[rejected] = rng.integers(0, block, size=int(rejected.sum()), dtype=np.int64)
         rejected = draws >= n
     return draws
+
+
+def reference_simulate_code(
+    code: QracCode,
+    trials_per_input: int,
+    seed: int,
+    randomize: bool = False,
+    cells: list[int] | None = None,
+) -> np.ndarray:
+    """The per-cell Generator loop that the batched simulate_code replaced.
+
+    Each cell x_index * n + position gets its own Generator(Philox) keyed by
+    (seed, cell); the key is built as an exact uint64 array, which for seeds
+    below 2^63 is the key the old loop built from a Python list.  Returns the
+    frequencies of the given cells in that order, or the whole (2^n, n) array
+    when `cells` is None.
+    """
+    n = code.n
+    dirs = code.measurement_array()
+    points = code.encoding_array()
+    mask = (1 << n) - 1
+    trials = trials_per_input
+    selected = range((1 << n) * n) if cells is None else cells
+    frequencies = []
+    for cell in selected:
+        x_index, position = divmod(cell, n)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, cell], dtype=np.uint64)))
+        if randomize:
+            r = rng.integers(0, 1 << n, size=trials, dtype=np.int64)
+            d = reference_uniform_shifts(rng, n, trials)
+            z = x_index ^ r
+            y = ((z << d) | (z >> (n - d))) & mask
+            j = (position + d) % n
+            target_bits = (y >> j) & 1
+            p0 = 0.5 * (1.0 + np.einsum("ij,ij->i", points[y], dirs[j]))
+        else:
+            target_bits = np.full(trials, (x_index >> position) & 1)
+            p0 = np.full(trials, 0.5 * (1.0 + float(points[x_index] @ dirs[position])))
+        outcomes = (rng.random(trials) >= p0).astype(np.int64)
+        frequencies.append(float((outcomes == target_bits).mean()))
+    result = np.array(frequencies)
+    return result.reshape(1 << n, n) if cells is None else result

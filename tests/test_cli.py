@@ -334,6 +334,16 @@ def test_simulate_zero_trials_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_simulate_seed_out_of_range_exit_code(capsys, tmp_path):
+    path = tmp_path / "qrac2.json"
+    run(capsys, "code", "show", "--name", "qrac2", "--json", str(path))
+    for seed in ("-1", "18446744073709551616"):
+        code, out, err = run(capsys, "simulate", "--json", str(path), "--trials", "50", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert f"seed must lie in 0..2**64 - 1, got {seed}" in err
+
+
 def test_simulate_cost_guard_exit_code(capsys, tmp_path):
     path = tmp_path / "qrac9.json"
     run(capsys, "code", "show", "--name", "qrac9", "--json", str(path))

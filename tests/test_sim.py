@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrac import sim
 from qrac.bloch import BlochVector, Measurement
 from qrac.classical import BitString
-from qrac.codes import evaluate, optimal_code
-from qrac.constructions import known_code
+from qrac.codes import QracCode, evaluate, optimal_code
+from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
-from qrac.sim import MAX_CELL_TRIALS, SimReport, _uniform_shifts, sample_measurement, simulate_code
+from qrac.sim import MAX_CELL_TRIALS, SimReport, sample_measurement, simulate_code
 
-from helpers import reference_uniform_shifts
+from helpers import random_measurements, reference_simulate_code
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
@@ -75,17 +76,87 @@ def test_trials_validation():
         simulate_code(known_code("qrac2"), trials_per_input=0, seed=0)
 
 
-def test_uniform_shifts_match_reference_draw_for_draw():
-    for n in (1, 2, 3, 5, 9, 12):
-        for trials in (1, 7, 500):
-            rng, ref = (np.random.Generator(np.random.Philox(key=[n, trials])) for _ in range(2))
-            assert np.array_equal(_uniform_shifts(rng, n, trials), reference_uniform_shifts(ref, n, trials))
-            # Philox keeps its counter and buffers as arrays; compare them as JSON
-            state, ref_state = (
-                json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-                for g in (rng, ref)
-            )
-            assert state == ref_state, (n, trials)
+def _reference_codes() -> dict[str, QracCode]:
+    named = {name: known_code(name) for name in construction_names()}
+    rng = np.random.default_rng(20)
+    randoms = {f"random{n}": optimal_code(random_measurements(n, rng)) for n in range(1, 12)}
+    return {label: code for label, code in named.items() if code.n <= 9} | randoms
+
+
+REFERENCE_CODES = _reference_codes()
+
+
+def _compared_cells(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Every cell up to n = 5; above that the first, the last and 30 at random.
+
+    The simulator always runs every cell; the reference loop costs about
+    60 µs a cell, so it checks a sample of the larger codes.
+    """
+    total = (1 << n) * n
+    if total <= 160:
+        return np.arange(total)
+    return np.unique(np.concatenate(([0, total - 1], rng.choice(total, 30, replace=False))))
+
+
+@pytest.mark.parametrize("label", list(REFERENCE_CODES))
+def test_frequencies_match_reference_loop(label):
+    # the per-cell Generator loop is the contract; sym4 has cells whose p0 rounds below 0
+    code = REFERENCE_CODES[label]
+    cells = _compared_cells(code.n, np.random.default_rng(21))
+    for trials in (1, 2, 7, 300):
+        for seed in (0, 6, 2**62 + 1):
+            for randomize in (False, True):
+                got = simulate_code(code, trials, seed, randomize=randomize).frequencies
+                want = reference_simulate_code(code, trials, seed, randomize, cells.tolist())
+                assert np.array_equal(got.ravel()[cells], want), (trials, seed, randomize)
+
+
+def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
+    budgets = []
+    cell_words = sim._cell_words
+
+    def spy(seed, cells, count):
+        budgets.append(count)
+        return cell_words(seed, cells, count)
+
+    monkeypatch.setattr(sim, "_cell_words", spy)
+    monkeypatch.setattr(sim, "_MARGIN_SIGMAS", -3.0)  # most cells fall short at first
+    rng = np.random.default_rng(22)
+    # only n that is not a power of two rejects shift draws and so can fall short
+    codes = [known_code("qrac3"), known_code("qrac5")]
+    codes += [optimal_code(random_measurements(n, rng)) for n in (6, 7)]
+    for code in codes:
+        for trials in (1, 7, 300):
+            budgets.clear()
+            got = simulate_code(code, trials, 6, randomize=True).frequencies
+            assert len(set(budgets)) > 1, (code.n, trials)  # the redraw path ran
+            assert np.array_equal(got, reference_simulate_code(code, trials, 6, True)), (code.n, trials)
+
+
+def test_seeds_cover_the_whole_64_bit_range():
+    code = known_code("qrac2")
+    high = [simulate_code(code, 50, seed, randomize=True).frequencies for seed in (2**63, 2**63 + 5)]
+    assert not np.array_equal(*high)
+    for seed in (2**63 + 5, 2**64 - 1):
+        report = simulate_code(code, 50, seed, randomize=True)
+        assert report.seed == seed
+        assert np.array_equal(report.frequencies, reference_simulate_code(code, 50, seed, True))
+    for seed in (-1, -2, 2**64):
+        with pytest.raises(ValueError, match="seed must lie in 0..2\\*\\*64 - 1"):
+            simulate_code(code, 50, seed)
+
+
+def test_simulation_memory_stays_bounded():
+    # blocks of 2**14 cell-trials peak near 2 MB here; blocks of 2**20 peak
+    # near 120 MB, and arrays over the whole run would be larger still
+    code = known_code("qrac9")
+    tracemalloc.start()
+    try:
+        simulate_code(code, 500, 11, randomize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_cell_trial_guard_states_the_cost():
