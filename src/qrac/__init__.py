@@ -12,8 +12,6 @@ from .bloch import (
     BlochVector,
     Measurement,
     QubitState,
-    beta_coefficient,
-    bloch_from_angles,
     bloch_from_state,
     outcome_probabilities,
     state_from_bloch,
@@ -79,7 +77,7 @@ from .povm import (
     mixture_outcome_probs,
     povm_outcome_probs,
 )
-from .sim import SimReport, sample_measurement, simulate_code
+from .sim import SimReport, simulate_code
 
 __version__ = "1.0.0"
 
@@ -103,8 +101,6 @@ __all__ = [
     "SimReport",
     "WalkEstimate",
     "best_axis_split",
-    "beta_coefficient",
-    "bloch_from_angles",
     "bloch_from_state",
     "brute_force_optimal",
     "classical_asymptotic",
@@ -137,7 +133,6 @@ __all__ = [
     "random_lower_bound_asymptotic",
     "random_walk_distance_mc",
     "s_value",
-    "sample_measurement",
     "signed_direction_sum",
     "simulate_code",
     "state_from_bloch",

@@ -106,16 +106,6 @@ class Measurement:
         return state_from_bloch(self.direction), state_from_bloch(-self.direction)
 
 
-def bloch_from_angles(theta: float, phi: float) -> BlochVector:
-    """Unit vector at polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-    sin_theta = math.sin(theta)
-    return BlochVector(sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta))
-
-
 def state_from_bloch(r: BlochVector) -> QubitState:
     """Amplitudes of the pure state at Bloch point r, in canonical phase.
 
@@ -163,16 +153,6 @@ def outcome_probabilities(state_bloch: BlochVector, m: Measurement) -> tuple[flo
     p0 = 0.5 * (1.0 + cos_angle)
     p1 = 0.5 * (1.0 - cos_angle)
     return min(1.0, max(0.0, p0)), min(1.0, max(0.0, p1))
-
-
-def beta_coefficient(psi: QubitState) -> complex:
-    """Amplitude on |1>.
-
-    For states produced by state_from_bloch the global phase is already
-    fixed, which makes this coefficient well-defined; the algebraic root
-    checks on encoding points test exactly these values.
-    """
-    return psi.beta
 
 
 def uniform_directions(count: int, rng: np.random.Generator) -> np.ndarray:

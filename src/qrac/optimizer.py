@@ -7,6 +7,11 @@ sum_x sum_i (-1)^(x_i) r_x . v_i over unit encodings r_x, so the search
 alternates the two closed-form best responses (the see-saw iteration):
 r_x = S_x / |S_x| for fixed directions, then v_i = normalize(sum_x
 (-1)^(x_i) r_x) for fixed encodings.  Neither step lowers s.
+
+All restarts run as one stacked (R, n, 3) array, in blocks of at most
+codes._CHUNK sign-pattern rows, so memory is bounded for any restart count.
+Stacked matmul makes one GEMM call per restart, so every result is
+bit-identical to running the restarts one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .bloch import BlochVector, Measurement, uniform_directions
-from .codes import NEUTRAL_CUTOFF, probability_from_s_value, s_value, sign_matrix
+from .codes import _CHUNK, NEUTRAL_CUTOFF, probability_from_s_value, s_value, sign_matrix
 from .errors import CostLimitError
 
 #: Search is limited to this range: each see-saw step costs O(n * 2^n).
@@ -72,30 +77,57 @@ class OptimizationReport:
     best_restart: int
 
 
-def _seesaw(dirs: np.ndarray, config: OptimizerConfig) -> tuple[np.ndarray, float, int, bool]:
-    """See-saw from `dirs`: (directions, s, steps, converged).
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Lengths over a last axis of size 3, bit-identical to np.linalg.norm.
+
+    The squares are added left to right, as numpy's reduction adds them, but in
+    three whole-array adds instead of one slow reduction call per row.
+    """
+    squares = vectors * vectors
+    return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
+
+
+def _seesaw(
+    dirs: np.ndarray, config: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """See-saw from a stack of R starts (R, n, 3): (directions, s, steps, converged).
 
     Runs over the sign patterns with x_n = 0 only; the complements add the
-    same amounts.  A step that gains less than `tolerance` ends the loop and
-    is discarded, so a converged result is a fixed point of the next call.
+    same amounts.  All restarts step together; a step that gains less than
+    `tolerance` is discarded and takes its restart out of the stack, so a
+    converged result is a fixed point of the next call.  Each restart's
+    result is bit-identical to running it alone.
     """
-    n = len(dirs)
+    count, n, _ = dirs.shape
     half = sign_matrix(n, 0, 1 << (n - 1))
+    final_dirs, final_s, active = np.empty_like(dirs), np.empty(count), np.arange(count)
+    steps, converged = np.full(count, config.max_iterations), np.zeros(count, dtype=bool)
     sums = half @ dirs
-    norms = np.linalg.norm(sums, axis=1)
-    s = 2.0 * float(norms.sum())
+    norms = _norms(sums)
+    s = 2.0 * norms.sum(axis=-1)
     for step in range(1, config.max_iterations + 1):
-        encodings = sums / np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)[:, None]
+        encodings = sums / np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)[..., None]
         pulls = half.T @ encodings
-        lengths = np.linalg.norm(pulls, axis=1)[:, None]
+        lengths = _norms(pulls)[..., None]
         moved = np.divide(pulls, lengths, out=dirs.copy(), where=lengths > 0.0)
         moved_sums = half @ moved
-        moved_norms = np.linalg.norm(moved_sums, axis=1)
-        moved_s = 2.0 * float(moved_norms.sum())
-        if moved_s - s < config.tolerance:
-            return dirs, s, step, True
+        moved_norms = _norms(moved_sums)
+        moved_s = 2.0 * moved_norms.sum(axis=-1)
+        stalled = moved_s - s < config.tolerance
+        if stalled.any():
+            done = active[stalled]
+            final_dirs[done], final_s[done] = dirs[stalled], s[stalled]
+            steps[done], converged[done] = step, True
+            going = ~stalled
+            active = active[going]
+            moved, moved_sums, moved_norms, moved_s = (
+                moved[going], moved_sums[going], moved_norms[going], moved_s[going]
+            )
+            if active.size == 0:
+                return final_dirs, final_s, steps, converged
         dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
-    return dirs, s, config.max_iterations, False
+    final_dirs[active], final_s[active] = dirs, s
+    return final_dirs, final_s, steps, converged
 
 
 def _measurements(dirs: np.ndarray) -> tuple[Measurement, ...]:
@@ -117,7 +149,10 @@ def optimize(
     Each start is n uniform directions drawn from one seeded generator
     (bloch.uniform_directions), improved by the see-saw iteration, and the
     restarts are reduced by taking the best final objective; ties keep the
-    earliest restart.  The returned directions are canonicalized to the
+    earliest restart.  The restarts run as one stacked array, in blocks of at
+    most codes._CHUNK sign-pattern rows whose starts are drawn just before the
+    block runs, in restart order; every trace is bit-identical to running the
+    restarts one at a time.  The returned directions are canonicalized to the
     upper hemisphere (rows with negative z are negated, which never changes
     the objective) and rescored, so the returned probability matches the
     returned directions exactly.
@@ -128,28 +163,24 @@ def optimize(
         raise ValueError(f"n must be at least {MIN_OPTIMIZE_N}, got {n}")
     _check_size(n)
     rng = np.random.default_rng(config.seed)
+    block = max(1, _CHUNK >> (n - 1))  # restarts per block
     traces: list[RestartTrace] = []
-    best_dirs = np.empty((n, 3))
     best_s = -np.inf
-    best_restart = 0
-    for restart in range(config.restarts):
-        dirs, s, iterations, converged = _seesaw(uniform_directions(n, rng), config)
-        traces.append(
+    for first in range(0, config.restarts, block):
+        starts = [uniform_directions(n, rng) for _ in range(min(block, config.restarts - first))]
+        dirs, s_values, steps, converged = _seesaw(np.stack(starts), config)
+        traces.extend(
             RestartTrace(
-                restart=restart,
-                s_value=s,
-                probability=probability_from_s_value(s, n),
-                iterations=iterations,
-                converged=converged,
+                first + k, s, probability_from_s_value(s, n), int(steps[k]), bool(converged[k])
             )
+            for k, s in enumerate(s_values.tolist())
         )
-        if s > best_s:
-            best_dirs, best_s, best_restart = dirs, s, restart
+        k = int(np.argmax(s_values))  # the first maximum: ties keep the earliest restart
+        if s_values[k] > best_s:
+            best_dirs, best_s, best_restart = dirs[k], s_values[k], first + k
     best_dirs[best_dirs[:, 2] < 0.0] *= -1.0
     measurements = _measurements(best_dirs)
-    report = OptimizationReport(
-        n=n, config=config, traces=tuple(traces), best_restart=best_restart
-    )
+    report = OptimizationReport(n=n, config=config, traces=tuple(traces), best_restart=best_restart)
     return measurements, probability_from_s_value(s_value(measurements), n), report
 
 
@@ -175,7 +206,8 @@ def polish(
         return measurements, 1.0
     start_s = s_value(measurements)
     start = np.array([(m.direction.x, m.direction.y, m.direction.z) for m in measurements])
-    dirs, s, _, _ = _seesaw(start, config)
+    stack, s_values, _, _ = _seesaw(start[None], config)
+    dirs, s = stack[0], float(s_values[0])
     if s - start_s <= max(config.tolerance, 1e-12):
         return measurements, probability_from_s_value(start_s, n)
     polished = _measurements(dirs)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, Measurement, outcome_probabilities
 from .classical import BitString
 from .codes import QracCode
 from .errors import CostLimitError
@@ -89,14 +88,6 @@ class SimReport:
     def spread(self) -> float:
         """Max minus min cell frequency; randomization drives this toward 0."""
         return float(self.frequencies.max() - self.frequencies.min())
-
-
-def sample_measurement(
-    state: BlochVector, m: Measurement, rng_stream: np.random.Generator
-) -> int:
-    """Draw one measurement outcome: 0 with probability (1 + cos angle)/2."""
-    p0, _ = outcome_probabilities(state, m)
-    return 0 if rng_stream.random() < p0 else 1
 
 
 def _thresholds(p0: np.ndarray) -> np.ndarray:

@@ -7,12 +7,23 @@ import math
 import numpy as np
 
 from qrac.bloch import BlochVector, Measurement, uniform_directions
-from qrac.codes import QracCode
+from qrac.codes import NEUTRAL_CUTOFF, QracCode, probability_from_s_value, sign_matrix
+from qrac.optimizer import OptimizerConfig, RestartTrace
 
 
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[Measurement, ...]:
     """n measurements with directions drawn uniformly on the sphere."""
     return tuple(Measurement(BlochVector.from_array(row)) for row in uniform_directions(n, rng))
+
+
+def bloch_from_angles(theta: float, phi: float) -> BlochVector:
+    """Unit vector at polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+    sin_theta = math.sin(theta)
+    return BlochVector(sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta))
 
 
 def reference_cluster_labels(points: np.ndarray, tolerance: float) -> list[int]:
@@ -130,3 +141,50 @@ def reference_simulate_code(
         frequencies.append(float((outcomes == target_bits).mean()))
     result = np.array(frequencies)
     return result.reshape(1 << n, n) if cells is None else result
+
+
+def reference_seesaw(
+    dirs: np.ndarray, config: OptimizerConfig
+) -> tuple[np.ndarray, float, int, bool]:
+    """The one-restart see-saw loop that the stacked optimizer._seesaw replaced.
+
+    Returns (directions, s, steps, converged) for one (n, 3) start.
+    """
+    n = len(dirs)
+    half = sign_matrix(n, 0, 1 << (n - 1))
+    sums = half @ dirs
+    norms = np.linalg.norm(sums, axis=1)
+    s = 2.0 * float(norms.sum())
+    for step in range(1, config.max_iterations + 1):
+        encodings = sums / np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)[:, None]
+        pulls = half.T @ encodings
+        lengths = np.linalg.norm(pulls, axis=1)[:, None]
+        moved = np.divide(pulls, lengths, out=dirs.copy(), where=lengths > 0.0)
+        moved_sums = half @ moved
+        moved_norms = np.linalg.norm(moved_sums, axis=1)
+        moved_s = 2.0 * float(moved_norms.sum())
+        if moved_s - s < config.tolerance:
+            return dirs, s, step, True
+        dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
+    return dirs, s, config.max_iterations, False
+
+
+def reference_restarts(
+    n: int, config: OptimizerConfig
+) -> tuple[list[RestartTrace], np.ndarray]:
+    """The one-at-a-time restart loop of optimize: (traces, best directions).
+
+    The best directions are those of the earliest restart with the largest s,
+    before canonicalization.
+    """
+    rng = np.random.default_rng(config.seed)
+    traces = []
+    best_dirs, best_s = np.empty((n, 3)), -np.inf
+    for restart in range(config.restarts):
+        dirs, s, iterations, converged = reference_seesaw(uniform_directions(n, rng), config)
+        traces.append(
+            RestartTrace(restart, s, probability_from_s_value(s, n), iterations, converged)
+        )
+        if s > best_s:
+            best_dirs, best_s = dirs, s
+    return traces, best_dirs

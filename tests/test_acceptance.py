@@ -44,8 +44,8 @@ from qrac.constructions import (
 )
 from qrac.optimizer import OptimizerConfig, optimize
 from qrac.povm import Povm2, decompose_povm, mixture_outcome_probs, povm_outcome_probs
-from qrac.bloch import bloch_from_angles, state_from_bloch
-from helpers import random_measurements
+from qrac.bloch import state_from_bloch
+from helpers import bloch_from_angles, random_measurements
 from test_constructions import POLYNOMIALS
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)

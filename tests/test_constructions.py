@@ -531,12 +531,12 @@ def test_all_zero_polynomial_rejected():
 
 def test_measurement_basis_polynomial_qrac6():
     """The 12 basis states of the qrac6 axes satisfy their own minimal polynomial."""
-    from qrac.bloch import beta_coefficient, state_from_bloch
+    from qrac.bloch import state_from_bloch
 
     coeffs = [1, 0, 0, 0, -44, 0, 0, 0, -128, 0, 0, 0, 256]
     for m in known_construction("qrac6").measurements:
         for direction in (m, -m):
-            beta = beta_coefficient(state_from_bloch(direction))
+            beta = state_from_bloch(direction).beta
             value = 0j
             scale = 0.0
             for c in reversed(coeffs):

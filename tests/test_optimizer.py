@@ -5,19 +5,21 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qrac
-from qrac.bloch import BlochVector, Measurement
+from qrac import optimizer
+from qrac.bloch import BlochVector, Measurement, uniform_directions
 from qrac.bounds import orthogonal_lower_bound
-from qrac.codes import evaluate, optimal_code, upper_bound
+from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, sign_matrix, upper_bound
 from qrac.constructions import known_construction
 from qrac.errors import CostLimitError
 from qrac.optimizer import OptimizationReport, OptimizerConfig, optimize, polish
-from helpers import random_measurements
+from helpers import random_measurements, reference_restarts, reference_seesaw
 
 
 def test_config_defaults_and_validation():
@@ -167,3 +169,84 @@ def test_polish_improves_a_perturbed_set(rng):
     target = known_construction("qrac4").expected_probability
     assert after >= start
     assert after >= target - 1e-5
+
+
+def _assert_matches_reference(starts: np.ndarray, config: OptimizerConfig) -> None:
+    dirs, s_values, steps, converged = optimizer._seesaw(starts, config)
+    for k, start in enumerate(starts):
+        ref_dirs, ref_s, ref_steps, ref_converged = reference_seesaw(start, config)
+        assert np.array_equal(dirs[k], ref_dirs), k
+        assert (s_values[k], steps[k], converged[k]) == (ref_s, ref_steps, ref_converged), k
+
+
+def test_norms_match_linalg_norm(rng):
+    vectors = rng.normal(size=(200_000, 3)) * rng.uniform(0.0, 10.0, size=(200_000, 1))
+    assert np.array_equal(optimizer._norms(vectors), np.linalg.norm(vectors, axis=1))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stacked_seesaw_matches_reference_loop(n):
+    rng = np.random.default_rng(100 + n)
+    for count in (1, 3):
+        starts = np.stack([uniform_directions(n, rng) for _ in range(count)])
+        _assert_matches_reference(starts, OptimizerConfig())
+    # 50 restarts under a cap, so the stack holds converged and cut-off restarts
+    starts = np.stack([uniform_directions(n, rng) for _ in range(50)])
+    _assert_matches_reference(starts, OptimizerConfig(max_iterations=200))
+
+
+def test_stacked_seesaw_matches_reference_on_degenerate_starts():
+    rng = np.random.default_rng(5)
+    x, y, z = np.eye(3)
+    tilted = np.array([1.0, 1e-13, 0.0]) / np.linalg.norm([1.0, 1e-13, 0.0])
+    starts = np.stack(
+        [
+            np.tile(x, (6, 1)),  # repeated: S_x = 0 exactly when half the signs flip
+            np.array([x, -x, y, -y, z, -z]),  # antipodal pairs
+            np.array([x, y, z, x, y, z]),  # repeated axes
+            np.array([x, tilted, y, z, y, z]),  # 0 < |S_x| < NEUTRAL_CUTOFF
+            uniform_directions(6, rng),
+        ]
+    )
+    lengths = np.linalg.norm(sign_matrix(6) @ starts, axis=-1)
+    assert ((lengths > 0.0) & (lengths < NEUTRAL_CUTOFF)).any()
+    for config in (OptimizerConfig(), OptimizerConfig(max_iterations=2)):
+        _assert_matches_reference(starts, config)
+
+
+def test_stacked_seesaw_matches_reference_when_cut_off():
+    rng = np.random.default_rng(8)
+    starts = np.stack([uniform_directions(4, rng) for _ in range(40)])
+    for cap in (1, 70, 90):  # these starts stop after 58 to 127 steps
+        config = OptimizerConfig(max_iterations=cap)
+        _, _, _, converged = optimizer._seesaw(starts, config)
+        if cap > 1:
+            assert converged.any() and not converged.all(), cap
+        _assert_matches_reference(starts, config)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_optimize_matches_reference_restart_loop(n):
+    # the criterion-7 configuration
+    config = OptimizerConfig(restarts=50, seed=0)
+    measurements, _, report = optimize(n, config)
+    traces, best_dirs = reference_restarts(n, config)
+    assert list(report.traces) == traces
+    assert report.best_restart == max(traces, key=lambda t: t.s_value).restart
+    best_dirs = best_dirs.copy()
+    best_dirs[best_dirs[:, 2] < 0.0] *= -1.0
+    assert np.array_equal(np.array([m.direction.as_array() for m in measurements]), best_dirs)
+
+
+def test_restart_blocks_bound_memory_and_keep_traces(monkeypatch):
+    config = OptimizerConfig(restarts=200, max_iterations=3)
+    tracemalloc.start()
+    try:
+        _, _, report = optimize(12, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    monkeypatch.setattr(optimizer, "_CHUNK", 1)
+    _, _, one_at_a_time = optimize(12, config)
+    assert one_at_a_time.traces == report.traces

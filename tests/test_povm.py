@@ -10,7 +10,6 @@ import pytest
 from qrac.bloch import (
     BlochVector,
     Measurement,
-    bloch_from_angles,
     outcome_probabilities,
     state_from_bloch,
     uniform_directions,
@@ -22,6 +21,8 @@ from qrac.povm import (
     mixture_outcome_probs,
     povm_outcome_probs,
 )
+
+from helpers import bloch_from_angles
 
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
 

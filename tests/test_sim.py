@@ -14,35 +14,12 @@ from qrac.classical import BitString
 from qrac.codes import QracCode, evaluate, optimal_code
 from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
-from qrac.sim import MAX_CELL_TRIALS, SimReport, sample_measurement, simulate_code
+from qrac.sim import MAX_CELL_TRIALS, SimReport, simulate_code
 
 from helpers import random_measurements, reference_simulate_code
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
-
-
-def test_sample_measurement_aligned_states():
-    rng = np.random.default_rng(0)
-    direction = BlochVector.normalized(1.0, 1.0, 1.0)
-    m = Measurement(direction)
-    assert all(sample_measurement(direction, m, rng) == 0 for _ in range(50))
-    assert all(sample_measurement(-direction, m, rng) == 1 for _ in range(50))
-
-
-def test_sample_measurement_perpendicular_is_fair():
-    rng = np.random.default_rng(123)
-    state = BlochVector(1.0, 0.0, 0.0)
-    draws = 1_000_000
-    zeros = sum(1 for _ in range(draws) if sample_measurement(state, Z, rng) == 0)
-    assert zeros / draws == pytest.approx(0.5, abs=0.002)  # 4 sigma
-
-
-def test_sample_measurement_stream_deterministic():
-    state = BlochVector.normalized(0.3, 0.4, 0.5)
-    a = [sample_measurement(state, Z, np.random.default_rng(9)) for _ in range(1)]
-    b = [sample_measurement(state, Z, np.random.default_rng(9)) for _ in range(1)]
-    assert a == b
 
 
 def test_single_bit_code_is_perfect():
