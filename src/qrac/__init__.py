@@ -46,7 +46,6 @@ from .codes import (
     optimal_encoding,
     parallelogram_check,
     s_value,
-    signed_direction_sum,
     upper_bound,
 )
 from .constructions import (
@@ -133,7 +132,6 @@ __all__ = [
     "random_lower_bound_asymptotic",
     "random_walk_distance_mc",
     "s_value",
-    "signed_direction_sum",
     "simulate_code",
     "state_from_bloch",
     "transition_probability",

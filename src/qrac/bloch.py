@@ -31,15 +31,15 @@ class BlochVector:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > UNIT_TOLERANCE:
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # written so that NaN fails too
             raise ValueError(f"Bloch vector must have unit norm, got |r| = {norm!r}")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> BlochVector:
-        """Scale an arbitrary vector onto the unit sphere; rejects near-zero input."""
+        """Scale a vector onto the unit sphere; rejects near-zero and non-finite input."""
         norm = math.sqrt(x * x + y * y + z * z)
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a vector of near-zero length")
+        if not 1e-12 <= norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of length {norm!r}")
         return cls(x / norm, y / norm, z / norm)
 
     @classmethod
@@ -59,36 +59,15 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class QubitState:
-    """A normalized pure qubit state alpha|0> + beta|1>.
-
-    The constructor only checks normalization; use :meth:`canonical` to also
-    fix the global phase (alpha real and nonnegative).
-    """
+    """A normalized pure qubit state alpha|0> + beta|1>; the global phase is not fixed."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self) -> None:
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > 3.0 * UNIT_TOLERANCE:
+        if not abs(norm_sq - 1.0) <= 3.0 * UNIT_TOLERANCE:
             raise ValueError(f"state must be normalized, got |alpha|^2 + |beta|^2 = {norm_sq!r}")
-
-    @classmethod
-    def canonical(cls, alpha: complex, beta: complex) -> QubitState:
-        """Normalize and remove the global phase, making alpha real and >= 0.
-
-        When alpha vanishes the phase is pushed into beta instead, so the
-        south pole is exactly (0, 1).
-        """
-        alpha = complex(alpha)
-        beta = complex(beta)
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a state of near-zero norm")
-        alpha /= norm
-        beta /= norm
-        phase = alpha / abs(alpha) if abs(alpha) > 0.0 else beta / abs(beta)
-        return cls(complex(abs(alpha)), beta / phase)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,6 @@ class WalkEstimate:
         """The success probability this walk distance certifies: (1 + d/n)/2."""
         return _walk_probability(self.mean_distance, self.n)
 
-    @property
-    def probability_std_error(self) -> float:
-        """Standard error propagated through the probability map: std_error/(2n)."""
-        return self.std_error / (2.0 * self.n)
-
 
 def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     """Estimate E||v_1 + ... + v_n|| over uniform unit steps by Monte Carlo.

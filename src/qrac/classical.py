@@ -21,6 +21,10 @@ from .errors import CostLimitError
 #: 2**(2**n) and is only practical through n = 4 (65536 encodings).
 MAX_BRUTE_FORCE = 4
 
+#: Largest n accepted by optimal_classical_probability: its binomial has about
+#: n bits, and math.comb alone takes seconds at n = 10**6.
+MAX_CLASSICAL_N = 10**6
+
 #: Decoder truth tables, as (answer when received 0, answer when received 1).
 DECODER_CONSTANT_0 = (0, 0)
 DECODER_CONSTANT_1 = (1, 1)
@@ -129,6 +133,13 @@ def optimal_classical_probability(n: int) -> Fraction:
     """Best achievable success probability, exactly: 1/2 + C(n-1, floor((n-1)/2)) / 2^n."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_CLASSICAL_N:
+        k = (n - 1) // 2
+        bits = (math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)) / math.log(2.0)
+        raise CostLimitError(
+            f"the exact value needs C({n - 1}, {k}), a binomial of about {int(bits) + 1} bits; "
+            f"n = {n} exceeds the limit {MAX_CLASSICAL_N}"
+        )
     return Fraction(1, 2) + Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n)
 
 

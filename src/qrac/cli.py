@@ -27,7 +27,7 @@ from .classical import (
     classical_bounds,
     optimal_classical_probability,
 )
-from .codes import CodeReport, QracCode, evaluate, optimal_code, upper_bound
+from .codes import CodeReport, QracCode, _norms, evaluate, optimal_code, upper_bound
 from .constructions import (
     GreatCircleArrangement,
     construction_names,
@@ -65,7 +65,7 @@ def code_document(
         "measurements": code.measurement_array().tolist(),
         "encodings": {  # the key of index i is its n-bit binary form, reversed
             format(i, f"0{code.n}b")[::-1]: row
-            for i, row in enumerate(code.encoding_array().tolist())
+            for i, row in enumerate(code.encodings.tolist())
         },
     }
     metadata: dict = {}
@@ -103,8 +103,7 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
         return None
     if rows.shape != (len(encodings_raw), 3):
         return None
-    squares = rows * rows
-    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+    norm = _norms(rows)
     deviation = np.abs(norm - 1.0)
     if not np.all(deviation <= _REJECT_NORM):
         return None
@@ -183,7 +182,15 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     n = args.n
     exact: Fraction = optimal_classical_probability(n)
     if args.exact:
-        print(exact)
+        try:
+            text = str(exact)
+        except ValueError:  # the denominator, the larger term, exceeds the int-to-str limit
+            digits = int(math.log10(exact.denominator)) + 1
+            raise CostLimitError(
+                f"the exact fraction for n = {n} has a {digits}-digit denominator; the "
+                f"interpreter converts at most {sys.get_int_max_str_digits()} digits"
+            ) from None
+        print(text)
         return 0
     asymptotic = classical_asymptotic(n)
     if n >= 2:
@@ -292,7 +299,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
             for i, v in enumerate(normals)
         ] + [
             {"label": format(i, f"0{code.n}b")[::-1], "vec": row, "kind": "encoding"}
-            for i, row in enumerate(code.encoding_array().tolist())
+            for i, row in enumerate(code.encodings.tolist())
         ]
     else:
         normals = _circles_from_file(args.circles)

@@ -12,7 +12,7 @@ sum over sign patterns.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,28 +62,19 @@ def _direction_array(measurements: Sequence[Measurement]) -> np.ndarray:
     return np.array([(m.direction.x, m.direction.y, m.direction.z) for m in measurements])
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Lengths over a last axis of size 3, bit-identical to np.linalg.norm.
+
+    The squares are added left to right, as numpy's reduction adds them, but in
+    three whole-array adds instead of one slow reduction call per row.
+    """
+    squares = vectors * vectors
+    return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
+
+
 def probability_from_s_value(s: float, n: int) -> float:
     """Optimally-encoded average success probability (1 + s / (n * 2^n)) / 2."""
     return 0.5 * (1.0 + s / (n * (1 << n)))
-
-
-def signed_direction_sum(measurements: Sequence[Measurement], x: BitString) -> np.ndarray:
-    """Sum of measurement directions with sign (-1)^(x_i) on the i-th term.
-
-    The result is generally not a unit vector; its normalization is the best
-    encoding point for x, and its norm measures how well x can be encoded.
-    Terms are added one by one in position order from +0.0: the order in
-    which an OpenBLAS matrix product over many sign rows, as in the
-    sign-pattern kernel, accumulates each row, so the two agree bit for bit.
-    """
-    if len(measurements) != len(x):
-        raise ValueError(
-            f"string length {len(x)} does not match measurement count {len(measurements)}"
-        )
-    total = np.zeros(3)
-    for bit, direction in zip(x, _direction_array(measurements)):
-        total = total - direction if bit else total + direction
-    return total
 
 
 def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -105,7 +96,7 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         for start in range(0, half, _CHUNK):
             sums = sign_matrix(n, start, min(start + _CHUNK, half)) @ dirs
-            yield start, sums, np.linalg.norm(sums, axis=1)
+            yield start, sums, _norms(sums)
 
     return blocks()
 
@@ -136,31 +127,13 @@ def neutral_strings(measurements: Sequence[Measurement]) -> tuple[BitString, ...
     return _norm_sum_and_neutral(_direction_array(measurements))[1]
 
 
-class _EncodingView(Mapping[BitString, BlochVector]):
-    """Read-only view of a (2^n, 3) encoding array; builds a BlochVector per lookup."""
-
-    def __init__(self, points: np.ndarray) -> None:
-        self.points = points
-
-    def __getitem__(self, x: BitString) -> BlochVector:
-        if not isinstance(x, BitString) or 1 << len(x) != len(self.points):
-            raise KeyError(x)
-        return BlochVector.from_array(self.points[x.index])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[BitString]:
-        n = len(self.points).bit_length() - 1
-        return (BitString.from_index(i, n) for i in range(len(self.points)))
-
-
-def optimal_encoding(measurements: Sequence[Measurement]) -> Mapping[BitString, BlochVector]:
+def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
     """Best encoding point for every input string: the normalized signed sum.
 
-    Strings whose signed sum vanishes (within NEUTRAL_CUTOFF) are mapped to
-    the fixed fallback NEUTRAL_FALLBACK; any choice gives the same average.
-    The result is a read-only mapping backed by one (2^n, 3) array.
+    Returns a read-only (2^n, 3) array in input-index order: row x.index is
+    the point for string x.  Strings whose signed sum vanishes (within
+    NEUTRAL_CUTOFF) get the fixed fallback NEUTRAL_FALLBACK; any choice gives
+    the same average.
     """
     dirs = _direction_array(measurements)
     blocks = _signed_sums(dirs)  # guarded before the array below exists
@@ -175,48 +148,37 @@ def optimal_encoding(measurements: Sequence[Measurement]) -> Mapping[BitString, 
         rows = start + np.flatnonzero(neutral)
         points[rows] = points[size - 1 - rows] = NEUTRAL_FALLBACK.as_array()
     points.setflags(write=False)
-    return _EncodingView(points)
+    return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QracCode:
     """A complete code: n measurement directions plus an encoding per string.
 
-    Stored as an (n, 3) direction array and a (2^n, 3) array of encoding
-    points in input-index order; `encodings` is a read-only mapping view of
-    the latter.  It may be passed as a mapping from strings to points, or
-    as the array itself (rows must be unit vectors).
+    `encodings` is a read-only (2^n, 3) array of encoding points in
+    input-index order: row x.index is the point for string x.  The
+    constructor takes any array-like of that shape, copies it, and checks
+    that every row has unit norm within UNIT_TOLERANCE.
     """
 
     measurements: tuple[Measurement, ...]
-    encodings: Mapping[BitString, BlochVector]
-    _dirs: np.ndarray = field(init=False, repr=False, compare=False)
+    encodings: np.ndarray
+    _dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.measurements)
         if n < 1:
             raise ValueError("need at least one measurement")
-        if len(self.encodings) != 1 << n:
-            raise ValueError(f"need {1 << n} encodings for n = {n}, got {len(self.encodings)}")
-        if isinstance(self.encodings, _EncodingView):
-            points = self.encodings.points
-        elif isinstance(self.encodings, np.ndarray):
-            points = np.array(self.encodings, dtype=float)
-            if points.shape != (1 << n, 3) or np.any(
-                np.abs(np.sqrt((points * points).sum(axis=1)) - 1.0) > UNIT_TOLERANCE
-            ):
-                raise ValueError(f"encoding array must hold {1 << n} unit 3-vectors as rows")
-        else:
-            points = np.empty((1 << n, 3))
-            for x, r in self.encodings.items():
-                if len(x) != n:
-                    raise ValueError(f"encoding key {x.text!r} has wrong length for n = {n}")
-                points[x.index] = (r.x, r.y, r.z)
+        points = np.array(self.encodings, dtype=float)
+        if points.shape != (1 << n, 3) or not np.all(
+            np.abs(_norms(points) - 1.0) <= UNIT_TOLERANCE
+        ):
+            raise ValueError(f"encodings must be {1 << n} unit 3-vectors as rows for n = {n}")
         points.setflags(write=False)
         dirs = _direction_array(self.measurements)
         dirs.setflags(write=False)
         object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(self, "encodings", _EncodingView(points))
+        object.__setattr__(self, "encodings", points)
         object.__setattr__(self, "_dirs", dirs)
 
     @property
@@ -226,10 +188,6 @@ class QracCode:
     def measurement_array(self) -> np.ndarray:
         """Measurement directions as a read-only (n, 3) array, row i = position i+1."""
         return self._dirs
-
-    def encoding_array(self) -> np.ndarray:
-        """Encoding points as a read-only (2^n, 3) array ordered by input index."""
-        return self.encodings.points
 
 
 def optimal_code(measurements: Sequence[Measurement]) -> QracCode:
@@ -281,7 +239,7 @@ def evaluate(code: QracCode) -> CodeReport:
         )
     dirs = code.measurement_array()
     s, neutral = _norm_sum_and_neutral(dirs)
-    per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encoding_array() @ dirs.T))
+    per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encodings @ dirs.T))
     np.clip(per_input, 0.0, 1.0, out=per_input)
     return CodeReport(
         per_input=per_input,

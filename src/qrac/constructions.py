@@ -51,14 +51,12 @@ class NamedConstruction:
     """A named measurement set with its known average success probability.
 
     `expected_probability` is the closed-form value when one is known, or is
-    computed from the directions at registration time; `expected_form` says
-    which, in plain text.
+    computed from the directions at registration time.
     """
 
     name: str
     measurements: tuple[BlochVector, ...]
     expected_probability: float
-    expected_form: str
 
     @property
     def n(self) -> int:
@@ -107,36 +105,19 @@ def _icosidodecahedron_axes() -> tuple[BlochVector, ...]:
 
 
 def _registry() -> dict[str, NamedConstruction]:
-    entries: list[tuple[str, tuple[BlochVector, ...], float | None, str]] = [
-        (
-            "qrac2",
-            (_X, _Y),
-            0.5 + 0.5 / math.sqrt(2.0),
-            "1/2 + 1/(2*sqrt(2))",
-        ),
-        (
-            "qrac3",
-            (_X, _Y, _Z),
-            0.5 + 0.5 / math.sqrt(3.0),
-            "1/2 + 1/(2*sqrt(3))",
-        ),
-        (
-            "qrac4",
-            (_X, _Y, _Z, _Z),
-            0.5 + (1.0 + math.sqrt(3.0)) / (8.0 * math.sqrt(2.0)),
-            "1/2 + (1+sqrt(3))/(8*sqrt(2))",
-        ),
+    entries: list[tuple[str, tuple[BlochVector, ...], float | None]] = [
+        ("qrac2", (_X, _Y), 0.5 + 0.5 / math.sqrt(2.0)),
+        ("qrac3", (_X, _Y, _Z), 0.5 + 0.5 / math.sqrt(3.0)),
+        ("qrac4", (_X, _Y, _Z, _Z), 0.5 + (1.0 + math.sqrt(3.0)) / (8.0 * math.sqrt(2.0))),
         (
             "qrac5",
             (_X, _Y, _Z, _unit(1.0, 1.0, 0.0), _unit(-1.0, 1.0, 0.0)),
             0.5 + math.sqrt(2.0 * (5.0 + math.sqrt(17.0))) / 20.0,
-            "1/2 + sqrt(2*(5+sqrt(17)))/20",
         ),
         (
             "qrac6",
             _CUBOCTAHEDRON_AXES,
             0.5 + (2.0 + math.sqrt(3.0) + math.sqrt(15.0)) / (16.0 * math.sqrt(6.0)),
-            "1/2 + (2+sqrt(3)+sqrt(15))/(16*sqrt(6))",
         ),
         (
             "qrac9",
@@ -144,7 +125,6 @@ def _registry() -> dict[str, NamedConstruction]:
             0.5
             + (10.0 * math.sqrt(3.0) + 9.0 * math.sqrt(11.0) + 3.0 * math.sqrt(19.0))
             / 384.0,
-            "1/2 + (10*sqrt(3)+9*sqrt(11)+3*sqrt(19))/384",
         ),
         (
             "sym4",
@@ -155,7 +135,6 @@ def _registry() -> dict[str, NamedConstruction]:
                 _unit(1.0, 1.0, 1.0),
             ),
             0.5 + (2.0 + math.sqrt(3.0)) / 16.0,
-            "1/2 + (2+sqrt(3))/16",
         ),
         (
             "sym6",
@@ -163,27 +142,16 @@ def _registry() -> dict[str, NamedConstruction]:
             0.5
             + math.sqrt(5.0) / 32.0
             + math.sqrt(75.0 + 30.0 * math.sqrt(5.0)) / 96.0,
-            "1/2 + sqrt(5)/32 + sqrt(75+30*sqrt(5))/96",
         ),
-        (
-            "sym9",
-            (_X, _Y, _Z) + _CUBOCTAHEDRON_AXES,
-            None,
-            "computed from the measurement directions",
-        ),
-        (
-            "sym15",
-            _icosidodecahedron_axes(),
-            None,
-            "computed from the measurement directions",
-        ),
+        ("sym9", (_X, _Y, _Z) + _CUBOCTAHEDRON_AXES, None),
+        ("sym15", _icosidodecahedron_axes(), None),
     ]
     registry: dict[str, NamedConstruction] = {}
-    for name, measurements, value, form in entries:
+    for name, measurements, value in entries:
         if value is None:
             s = s_value(tuple(Measurement(v) for v in measurements))
             value = probability_from_s_value(s, len(measurements))
-        registry[name] = NamedConstruction(name, measurements, value, form)
+        registry[name] = NamedConstruction(name, measurements, value)
     return registry
 
 
@@ -377,7 +345,7 @@ def encoding_polynomial_check(name: str, poly: Sequence[int]) -> bool:
     """
     if not poly or all(c == 0 for c in poly):
         raise ValueError("polynomial must have a nonzero coefficient")
-    for row in known_code(name).encoding_array():
+    for row in known_code(name).encodings:
         b = state_from_bloch(BlochVector.from_array(row)).beta
         value = complex(poly[-1])
         scale = float(abs(poly[-1]))

@@ -22,7 +22,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .bloch import BlochVector, Measurement, uniform_directions
-from .codes import _CHUNK, NEUTRAL_CUTOFF, probability_from_s_value, s_value, sign_matrix
+from .codes import _CHUNK, NEUTRAL_CUTOFF, _direction_array, _norms, sign_matrix
+from .codes import probability_from_s_value, s_value
 from .errors import CostLimitError
 
 #: Search is limited to this range: each see-saw step costs O(n * 2^n).
@@ -75,16 +76,6 @@ class OptimizationReport:
     config: OptimizerConfig
     traces: tuple[RestartTrace, ...]
     best_restart: int
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Lengths over a last axis of size 3, bit-identical to np.linalg.norm.
-
-    The squares are added left to right, as numpy's reduction adds them, but in
-    three whole-array adds instead of one slow reduction call per row.
-    """
-    squares = vectors * vectors
-    return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
 
 
 def _seesaw(
@@ -205,8 +196,7 @@ def polish(
     if n == 1:
         return measurements, 1.0
     start_s = s_value(measurements)
-    start = np.array([(m.direction.x, m.direction.y, m.direction.z) for m in measurements])
-    stack, s_values, _, _ = _seesaw(start[None], config)
+    stack, s_values, _, _ = _seesaw(_direction_array(measurements)[None], config)
     dirs, s = stack[0], float(s_values[0])
     if s - start_s <= max(config.tolerance, 1e-12):
         return measurements, probability_from_s_value(start_s, n)

@@ -49,11 +49,13 @@ class Povm2:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-        if float(np.abs(matrix - matrix.conj().T).max()) > PROBABILITY_TOLERANCE:
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix entries must be finite")
+        if not float(np.abs(matrix - matrix.conj().T).max()) <= PROBABILITY_TOLERANCE:
             raise ValueError("matrix must be Hermitian")
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
         low, high = float(eigenvalues[0]), float(eigenvalues[1])
-        if low < -PROBABILITY_TOLERANCE or high > 1.0 + PROBABILITY_TOLERANCE:
+        if not -PROBABILITY_TOLERANCE <= low <= high <= 1.0 + PROBABILITY_TOLERANCE:
             raise ValueError(
                 f"eigenvalues must lie in [0, 1], got ({low!r}, {high!r})"
             )

@@ -199,7 +199,7 @@ def simulate_code(
             f"cell-trials; the limit is {MAX_CELL_TRIALS}"
         )
     dirs = code.measurement_array()
-    points = code.encoding_array()
+    points = code.encodings
     trials = trials_per_input
     n_cells = (1 << n) * n
     if randomize:
@@ -207,9 +207,8 @@ def simulate_code(
         y, j = np.divmod(np.arange(n_cells), n)
         thresholds = _thresholds(0.5 * (1.0 + np.einsum("ij,ij->i", points[y], dirs[j])))
     else:
-        # the scalar product of each cell on its own, as the per-cell loop took it
-        p0 = [0.5 * (1.0 + float(point @ v)) for point in points for v in dirs]
-        thresholds = _thresholds(np.array(p0))
+        # row x, column i: the cell (x, i); equal bit for bit to one dot product per cell
+        thresholds = _thresholds(0.5 * (1.0 + points @ dirs.T).ravel())
         x, position = np.divmod(np.arange(n_cells), n)
         targets = ((x >> position) & 1).astype(bool)
     successes = np.empty(n_cells, dtype=np.int64)

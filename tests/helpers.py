@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.classical import BitString
 from qrac.codes import NEUTRAL_CUTOFF, QracCode, probability_from_s_value, sign_matrix
 from qrac.optimizer import OptimizerConfig, RestartTrace
 
@@ -14,6 +15,31 @@ from qrac.optimizer import OptimizerConfig, RestartTrace
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[Measurement, ...]:
     """n measurements with directions drawn uniformly on the sphere."""
     return tuple(Measurement(BlochVector.from_array(row)) for row in uniform_directions(n, rng))
+
+
+def signed_direction_sum(measurements: tuple[Measurement, ...], x: BitString) -> np.ndarray:
+    """Sum of measurement directions with sign (-1)^(x_i) on the i-th term.
+
+    The per-string reference for the sign-pattern kernel.  Terms are added one
+    by one in position order from +0.0: the order in which an OpenBLAS matrix
+    product over many sign rows accumulates each row, so the two agree bit for
+    bit.
+    """
+    if len(measurements) != len(x):
+        raise ValueError(
+            f"string length {len(x)} does not match measurement count {len(measurements)}"
+        )
+    total = np.zeros(3)
+    for bit, m in zip(x, measurements):
+        direction = m.direction.as_array()
+        total = total - direction if bit else total + direction
+    return total
+
+
+def reference_plain_p0(code: QracCode) -> np.ndarray:
+    """The per-cell loop that built the plain-mode p0 table, in cell order x * n + i."""
+    points, dirs = code.encodings, code.measurement_array()
+    return np.array([0.5 * (1.0 + float(point @ v)) for point in points for v in dirs])
 
 
 def bloch_from_angles(theta: float, phi: float) -> BlochVector:
@@ -118,7 +144,7 @@ def reference_simulate_code(
     """
     n = code.n
     dirs = code.measurement_array()
-    points = code.encoding_array()
+    points = code.encodings
     mask = (1 << n) - 1
     trials = trials_per_input
     selected = range((1 << n) * n) if cells is None else cells

@@ -298,16 +298,11 @@ def test_criterion_11_property_suites():
     for n in range(2, 7):
         ms = random_measurements(n, rng)
         best = evaluate(optimal_code(ms)).average
-        from qrac.classical import BitString
         from qrac.codes import QracCode
 
         for _ in range(1000):
             rows = uniform_directions(1 << n, rng)
-            encodings = {
-                BitString.from_index(i, n): BlochVector.from_array(rows[i])
-                for i in range(1 << n)
-            }
-            trial = evaluate(QracCode(measurements=ms, encodings=encodings)).average
+            trial = evaluate(QracCode(measurements=ms, encodings=rows)).average
             assert trial <= best + 1e-12
     print("criterion 11: no random encoding beat the aligned one (1000 trials per n=2..6)")
 

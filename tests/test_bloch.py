@@ -107,18 +107,22 @@ def test_round_trip_from_angles(theta, phi):
     assert back.as_array() == pytest.approx(r.as_array(), abs=1e-9)
 
 
-def test_canonical_phase_is_removed():
-    raw = QubitState.canonical(1j / math.sqrt(2), 1 / math.sqrt(2))
-    assert raw.alpha.imag == pytest.approx(0.0)
-    assert raw.alpha.real >= 0.0
-    # alpha = 0 falls back to making beta real positive.
-    south = QubitState.canonical(0.0, 1j)
-    assert south.beta == pytest.approx(1.0)
-
-
 def test_state_norm_validation():
     with pytest.raises(ValueError):
         QubitState(1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_rejected(bad):
+    # a comparison with NaN is False, so every check must fail closed
+    with pytest.raises(ValueError):
+        BlochVector(bad, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        BlochVector.normalized(bad, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        QubitState(complex(bad), 0j)
+    with pytest.raises(ValueError):
+        QubitState(1.0 + 0j, complex(0.0, bad))
 
 
 def test_transition_probability_extremes():

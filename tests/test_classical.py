@@ -17,6 +17,7 @@ from qrac.classical import (
     classical_bounds,
     counting_identity_check,
     majority_strategy_probability,
+    MAX_CLASSICAL_N,
     optimal_classical_probability,
 )
 from qrac.errors import CostLimitError
@@ -90,6 +91,15 @@ def test_brute_force_matches_closed_form_and_oracle():
 def test_brute_force_cost_guard():
     with pytest.raises(CostLimitError):
         brute_force_optimal(5)
+
+
+def test_exact_optimum_cost_guard_states_bit_length():
+    # log2 C(m, m/2) = m - log2(pi*m/2)/2 + O(1/m): 999,990 bits at m = 10**6
+    message = "about 999990 bits; n = 1000001 exceeds the limit 1000000"
+    with pytest.raises(CostLimitError, match=message):
+        optimal_classical_probability(MAX_CLASSICAL_N + 1)
+    with pytest.raises(CostLimitError, match="about 3999988 bits"):
+        optimal_classical_probability(4 * MAX_CLASSICAL_N)
 
 
 def test_majority_strategy_object_agrees_with_sum():

@@ -31,6 +31,23 @@ def test_classical_exact(capsys):
     assert out.strip() == "3/4"
 
 
+def test_classical_exact_refuses_more_digits_than_int_to_str_allows(capsys):
+    code, out, err = run(capsys, "classical", "--n", "20000", "--exact")
+    assert code == 3
+    assert out == ""
+    assert "6020-digit denominator" in err
+    code, out, _ = run(capsys, "classical", "--n", "14000", "--exact")  # 4213 digits: printed
+    assert code == 0
+    assert len(out.strip().split("/")[1]) == 4213
+
+
+def test_classical_cost_guard_exit_code(capsys):
+    code, out, err = run(capsys, "classical", "--n", "4000000")
+    assert code == 3
+    assert out == ""
+    assert "bits; n = 4000000 exceeds the limit 1000000" in err
+
+
 def test_classical_single_bit(capsys):
     code, out, _ = run(capsys, "classical", "--n", "1")
     assert code == 0
@@ -122,7 +139,7 @@ def test_round_trip_preserves_vectors_bitwise(tmp_path):
     rebuilt, metadata = code_from_document(json.loads(json.dumps(document)))
     assert metadata["name"] == "qrac6"
     assert np.array_equal(original.measurement_array(), rebuilt.measurement_array())
-    assert np.array_equal(original.encoding_array(), rebuilt.encoding_array())
+    assert np.array_equal(original.encodings, rebuilt.encodings)
     before = evaluate(original)
     after = evaluate(rebuilt)
     assert before.average == after.average  # bitwise, not approx
@@ -203,7 +220,7 @@ def test_encoding_rows_load_as_one_at_a_time(rng):
     for key, raw in document["encodings"].items():
         expected[int(key[::-1], 2)] = _vector_from_json(raw, key).as_array()
     code, _ = code_from_document(json.loads(json.dumps(document)))
-    assert np.array_equal(code.encoding_array(), expected)
+    assert np.array_equal(code.encodings, expected)
 
 
 def test_eval_names_the_first_bad_encoding(tmp_path, capsys):
@@ -369,6 +386,16 @@ def test_regions_from_circles_file(capsys, tmp_path):
     code, out, _ = run(capsys, "regions", "--circles", str(path))
     assert code == 0
     assert out.strip() == "8"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_regions_rejects_non_finite_normals(capsys, tmp_path, bad):
+    path = tmp_path / "circles.json"
+    path.write_text(f"[[1, 0, 0], [0, {bad}, 1], [0, 0, 1]]")
+    code, out, err = run(capsys, "regions", "--circles", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot normalize" in err
 
 
 def test_regions_duplicate_circles_rejected(capsys):

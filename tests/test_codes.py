@@ -26,11 +26,10 @@ from qrac.codes import (
     parallelogram_check,
     s_value,
     sign_matrix,
-    signed_direction_sum,
     upper_bound,
 )
 from qrac.errors import CostLimitError
-from helpers import random_measurements
+from helpers import random_measurements, signed_direction_sum
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Y = Measurement(BlochVector(0.0, 1.0, 0.0))
@@ -62,13 +61,14 @@ def test_signed_direction_sum_examples():
 
 def test_optimal_encoding_two_axes():
     enc = optimal_encoding((X, Y))
-    assert enc[BitString.from_text("00")].as_array() == pytest.approx(
+    assert enc[BitString.from_text("00").index] == pytest.approx(
         np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     )
-    assert enc[BitString.from_text("11")].as_array() == pytest.approx(
+    assert enc[BitString.from_text("11").index] == pytest.approx(
         np.array([-1.0, -1.0, 0.0]) / math.sqrt(2)
     )
-    assert len(enc) == 4
+    assert enc.shape == (4, 3)
+    assert not enc.flags.writeable
 
 
 def test_optimal_encoding_three_axes_hits_cube_corners():
@@ -76,7 +76,7 @@ def test_optimal_encoding_three_axes_hits_cube_corners():
     for bits in itertools.product((0, 1), repeat=3):
         s = BitString(bits)
         expected = np.array([1.0 - 2 * b for b in bits]) / math.sqrt(3)
-        assert enc[s].as_array() == pytest.approx(expected, abs=1e-12)
+        assert enc[s.index] == pytest.approx(expected, abs=1e-12)
 
 
 def test_neutral_string_gets_fallback_vector():
@@ -85,7 +85,7 @@ def test_neutral_string_gets_fallback_vector():
     neutrals = neutral_strings(ms)
     assert BitString.from_text("0101") in neutrals
     enc = optimal_encoding(ms)
-    assert enc[BitString.from_text("0101")] == NEUTRAL_FALLBACK
+    assert np.array_equal(enc[BitString.from_text("0101").index], NEUTRAL_FALLBACK.as_array())
 
 
 def test_s_value_single_measurement():
@@ -186,21 +186,42 @@ def test_average_matches_norm_sum_identity(rng):
 
 def test_qrac_code_validation():
     enc = optimal_encoding((X, Y))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 unit 3-vectors"):
+        QracCode(measurements=(X,), encodings=enc)  # too many rows
+    with pytest.raises(ValueError, match="8 unit 3-vectors"):
         QracCode(measurements=(X, Y, Z), encodings=enc)
-    bad = dict(enc)
-    bad.pop(BitString.from_text("00"))
     with pytest.raises(ValueError):
-        QracCode(measurements=(X, Y), encodings=bad)
+        QracCode(measurements=(X, Y), encodings=enc[:, :2])  # wrong width
+    for bad_row in ([1.0 + 1e-9, 0, 0], [0, 0, 0], [math.nan, 0, 0], [math.inf, 0, 0]):
+        bad = enc.copy()
+        bad[2] = bad_row
+        with pytest.raises(ValueError):
+            QracCode(measurements=(X, Y), encodings=bad)
+    within = enc.copy()
+    within[2] *= 1.0 + 5e-13  # inside UNIT_TOLERANCE
+    assert np.array_equal(QracCode(measurements=(X, Y), encodings=within).encodings, within)
+
+
+def test_code_copies_its_encodings_and_is_read_only():
+    rows = np.array(optimal_encoding((X, Y)))
+    code = QracCode(measurements=(X, Y), encodings=rows)
+    rows[0] = (0.0, 0.0, 1.0)
+    assert np.array_equal(code.encodings, optimal_encoding((X, Y)))
+    assert not code.encodings.flags.writeable
+    with pytest.raises(ValueError):
+        code.encodings[0, 0] = 1.0
+    from_list = QracCode(measurements=(X, Y), encodings=rows.tolist())
+    assert np.array_equal(from_list.encodings, rows)
 
 
 def test_code_arrays_are_index_ordered():
     code = optimal_code((X, Y))
-    arr = code.encoding_array()
+    arr = code.encodings
     assert arr.shape == (4, 3)
     for index in range(4):
         s = BitString.from_index(index, 2)
-        assert arr[index] == pytest.approx(code.encodings[s].as_array())
+        expected = signed_direction_sum((X, Y), s) / math.sqrt(2)
+        assert arr[index] == pytest.approx(expected, abs=1e-15)
 
 
 def test_upper_bound_values():
@@ -226,11 +247,7 @@ def test_optimal_encoding_beats_random_encodings(rng):
         best = evaluate(optimal_code(ms)).average
         for _ in range(40):
             rows = uniform_directions(1 << n, rng)
-            encodings = {
-                BitString.from_index(i, n): BlochVector.from_array(rows[i])
-                for i in range(1 << n)
-            }
-            other = evaluate(QracCode(measurements=ms, encodings=encodings)).average
+            other = evaluate(QracCode(measurements=ms, encodings=rows)).average
             assert other <= best + 1e-12
 
 
@@ -311,9 +328,8 @@ def _per_string_reference(ms):
 def test_kernel_matches_per_string_reference(ms):
     points, neutral, total = _per_string_reference(ms)
     code = optimal_code(ms)
-    assert code.encoding_array().tobytes() == points.tobytes()  # bit-equal, signed zeros too
-    encodings = optimal_encoding(ms)
-    assert all(encodings[x] == BlochVector.from_array(points[x.index]) for x in encodings)
+    assert code.encodings.tobytes() == points.tobytes()  # bit-equal, signed zeros too
+    assert optimal_encoding(ms).tobytes() == points.tobytes()
     assert neutral_strings(ms) == neutral
     assert s_value(ms) == pytest.approx(total, rel=1e-12)
     report = evaluate(code)

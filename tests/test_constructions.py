@@ -9,7 +9,7 @@ import pytest
 
 from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import BitString
-from qrac.codes import evaluate, signed_direction_sum, upper_bound
+from qrac.codes import evaluate, upper_bound
 from qrac.constructions import (
     CLUSTER_TOLERANCE,
     CONSTRUCTIONS,
@@ -28,7 +28,7 @@ from qrac.constructions import (
 )
 from qrac.errors import CostLimitError
 
-from helpers import reference_cluster_labels, reference_region_count
+from helpers import reference_cluster_labels, reference_region_count, signed_direction_sum
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
 
@@ -171,7 +171,7 @@ def test_sym4_encodings_match_hand_formulas():
             expected = sign * np.array(
                 [(-1.0) ** (x1 + x4), (-1.0) ** (x2 + x4), (-1.0) ** (x3 + x4)]
             ) / SQRT3
-        assert code.encodings[s].as_array() == pytest.approx(expected, abs=1e-12), s.text
+        assert code.encodings[index] == pytest.approx(expected, abs=1e-12), s.text
 
 
 # ---------------------------------------------------------------- polyhedra

@@ -172,6 +172,13 @@ def test_from_matrix_validation():
         Povm2.from_matrix(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    for matrix in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [bad, 0.5]], np.full((2, 2), bad)):
+        with pytest.raises(ValueError):
+            Povm2.from_matrix(np.array(matrix))
+
+
 def test_from_matrix_diagonal():
     p = Povm2.from_matrix(np.diag([0.9, 0.1]))
     assert p.a == pytest.approx(0.9, abs=1e-12)

@@ -16,7 +16,7 @@ from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
 from qrac.sim import MAX_CELL_TRIALS, SimReport, simulate_code
 
-from helpers import random_measurements, reference_simulate_code
+from helpers import random_measurements, reference_plain_p0, reference_simulate_code
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
@@ -86,6 +86,28 @@ def test_frequencies_match_reference_loop(label):
                 got = simulate_code(code, trials, seed, randomize=randomize).frequencies
                 want = reference_simulate_code(code, trials, seed, randomize, cells.tolist())
                 assert np.array_equal(got.ravel()[cells], want), (trials, seed, randomize)
+
+
+class _StopAfterThresholds(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "label", list(construction_names()) + [k for k in REFERENCE_CODES if k.startswith("random")]
+)
+def test_plain_p0_table_matches_per_cell_loop(label, monkeypatch):
+    # one matrix product must give each cell the bits of its own dot product
+    code = known_code(label) if label in construction_names() else REFERENCE_CODES[label]
+    seen = []
+
+    def capture(p0):
+        seen.append(p0)
+        raise _StopAfterThresholds
+
+    monkeypatch.setattr(sim, "_thresholds", capture)
+    with pytest.raises(_StopAfterThresholds):
+        simulate_code(code, 1, 0)
+    assert np.array_equal(seen[0], reference_plain_p0(code))
 
 
 def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
