@@ -80,10 +80,6 @@ class Measurement:
 
     direction: BlochVector
 
-    def basis_states(self) -> tuple[QubitState, QubitState]:
-        """The two orthogonal states of the measurement, as (outcome 0, outcome 1)."""
-        return state_from_bloch(self.direction), state_from_bloch(-self.direction)
-
 
 def state_from_bloch(r: BlochVector) -> QubitState:
     """Amplitudes of the pure state at Bloch point r, in canonical phase.
@@ -124,14 +120,6 @@ def bloch_from_state(psi: QubitState) -> BlochVector:
 def transition_probability(r1: BlochVector, r2: BlochVector) -> float:
     """Overlap probability |<psi1|psi2>|^2 of the states at two Bloch points."""
     return min(1.0, max(0.0, 0.5 * (1.0 + r1.dot(r2))))
-
-
-def outcome_probabilities(state_bloch: BlochVector, m: Measurement) -> tuple[float, float]:
-    """Probabilities of outcomes (0, 1) when measuring the state along m."""
-    cos_angle = state_bloch.dot(m.direction)
-    p0 = 0.5 * (1.0 + cos_angle)
-    p1 = 0.5 * (1.0 - cos_angle)
-    return min(1.0, max(0.0, p0)), min(1.0, max(0.0, p1))
 
 
 def uniform_directions(count: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,6 +25,14 @@ MAX_BRUTE_FORCE = 4
 #: n bits, and math.comb alone takes seconds at n = 10**6.
 MAX_CLASSICAL_N = 10**6
 
+#: Largest n accepted by majority_strategy_probability: its sums add n//2 + 1
+#: binomials of up to n bits each, about 1 s at the limit on a 2-CPU Xeon.
+MAX_MAJORITY_N = 5000
+
+#: Largest m accepted by counting_identity_check: its sums add 2m + 1 binomials
+#: of up to 2m + 1 bits each, about 1 s at the limit on a 2-CPU Xeon.
+MAX_COUNTING_M = 2000
+
 #: Decoder truth tables, as (answer when received 0, answer when received 1).
 DECODER_CONSTANT_0 = (0, 0)
 DECODER_CONSTANT_1 = (1, 1)
@@ -71,12 +79,6 @@ class BitString:
     @property
     def text(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    def bit(self, i: int) -> int:
-        """The bit at 1-based position i."""
-        if not 1 <= i <= len(self.bits):
-            raise ValueError(f"position must lie in 1..{len(self.bits)}, got {i}")
-        return self.bits[i - 1]
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -153,6 +155,11 @@ def majority_strategy_probability(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_MAJORITY_N:
+        raise CostLimitError(
+            f"the counting sums add {n // 2 + 1} binomials of up to {n} bits; "
+            f"n = {n} exceeds the limit {MAX_MAJORITY_N}"
+        )
     if n % 2 == 1:
         m = (n - 1) // 2
         total = 2 * sum(i * math.comb(2 * m + 1, i) for i in range(m + 1, 2 * m + 2))
@@ -171,6 +178,11 @@ def counting_identity_check(m: int) -> bool:
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if m > MAX_COUNTING_M:
+        raise CostLimitError(
+            f"the identity sums add {2 * m + 1} binomials of up to {2 * m + 1} bits; "
+            f"m = {m} exceeds the limit {MAX_COUNTING_M}"
+        )
     odd_sum = sum(i * math.comb(2 * m + 1, i) for i in range(m + 1, 2 * m + 2))
     # C(2m, m) is even for m >= 1, so the halving below is exact.
     odd_closed = (2 * m + 1) * ((1 << (2 * m - 1)) + math.comb(2 * m, m) // 2)

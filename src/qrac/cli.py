@@ -78,10 +78,19 @@ def code_document(
     return document
 
 
+def _coordinates(raw: object, context: str) -> tuple[float, float, float]:
+    """The three coordinates of a JSON 3-vector as floats; anything else is a ValueError."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 3:
+        try:  # null, a list, a non-numeric string or an int beyond float range
+            x, y, z = (float(c) for c in raw)
+            return x, y, z
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{context}: expected a 3-vector, got {raw!r}")
+
+
 def _vector_from_json(raw: object, context: str) -> BlochVector:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValueError(f"{context}: expected a 3-vector, got {raw!r}")
-    x, y, z = (float(c) for c in raw)
+    x, y, z = _coordinates(raw, context)
     norm = math.sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) <= _KEEP_NORM:
         return BlochVector(x, y, z)
@@ -281,12 +290,10 @@ def _circles_from_file(path: str) -> tuple[BlochVector, ...]:
         raw = raw.get("circles")
     if not isinstance(raw, list) or not raw:
         raise ValueError("expected a JSON array of 3-vectors (or an object with a 'circles' array)")
-    normals = []
-    for index, entry in enumerate(raw):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"circle {index + 1}: expected a 3-vector, got {entry!r}")
-        normals.append(BlochVector.normalized(*(float(c) for c in entry)))
-    return tuple(normals)
+    return tuple(
+        BlochVector.normalized(*_coordinates(entry, f"circle {index + 1}"))
+        for index, entry in enumerate(raw)
+    )
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:

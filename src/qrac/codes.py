@@ -122,11 +122,6 @@ def s_value(measurements: Sequence[Measurement]) -> float:
     return _norm_sum_and_neutral(_direction_array(measurements))[0]
 
 
-def neutral_strings(measurements: Sequence[Measurement]) -> tuple[BitString, ...]:
-    """Input strings whose signed direction sum vanishes, in index order."""
-    return _norm_sum_and_neutral(_direction_array(measurements))[1]
-
-
 def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
     """Best encoding point for every input string: the normalized signed sum.
 
@@ -214,14 +209,6 @@ class CodeReport:
 
     def __post_init__(self) -> None:
         self.per_input.setflags(write=False)
-
-    def probability(self, x: BitString, i: int) -> float:
-        """Probability of answering position i (1-based) correctly on input x."""
-        if not 1 <= i <= self.per_input.shape[1]:
-            raise ValueError(f"position must lie in 1..{self.per_input.shape[1]}, got {i}")
-        if (1 << len(x)) != self.per_input.shape[0]:
-            raise ValueError(f"string length {len(x)} does not match this report")
-        return float(self.per_input[x.index, i - 1])
 
     @property
     def randomized_worst_case(self) -> float:

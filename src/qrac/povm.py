@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    Measurement,
-    QubitState,
-    bloch_from_state,
-    outcome_probabilities,
-    transition_probability,
-)
+from .bloch import Measurement, QubitState, bloch_from_state, transition_probability
 
 #: Validation slack for probability arithmetic.
 PROBABILITY_TOLERANCE = 1e-12
@@ -126,9 +120,11 @@ def mixture_outcome_probs(m: EnhancedMixture, state: QubitState) -> tuple[float,
     """Outcome probabilities (P0, P1) of the mixture on a pure state.
 
     P0 = c0 + c01*p0 + c10*p1 with (p0, p1) the orthogonal-measurement
-    outcome probabilities in the mixture's basis; P1 mirrors it.
+    outcome probabilities in the mixture's basis, the overlaps of the state
+    with the basis direction and its antipode; P1 mirrors it.
     """
-    p0, p1 = outcome_probabilities(bloch_from_state(state), m.basis)
+    r, direction = bloch_from_state(state), m.basis.direction
+    p0, p1 = transition_probability(r, direction), transition_probability(r, -direction)
     out0 = m.c0 + m.c01 * p0 + m.c10 * p1
     out1 = m.c1 + m.c01 * p1 + m.c10 * p0
     return out0, out1

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BitString
 from .codes import QracCode
 from .errors import CostLimitError
 
@@ -67,14 +66,6 @@ class SimReport:
 
     def __post_init__(self) -> None:
         self.frequencies.setflags(write=False)
-
-    def frequency(self, x: BitString, i: int) -> float:
-        """Observed success rate for input x at 1-based position i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position must lie in 1..{self.n}, got {i}")
-        if len(x) != self.n:
-            raise ValueError(f"string length {len(x)} does not match n = {self.n}")
-        return float(self.frequencies[x.index, i - 1])
 
     @property
     def average(self) -> float:

@@ -14,7 +14,6 @@ from qrac.bloch import (
     Measurement,
     QubitState,
     bloch_from_state,
-    outcome_probabilities,
     state_from_bloch,
     transition_probability,
     uniform_directions,
@@ -144,20 +143,20 @@ def test_transition_probability_matches_amplitudes(rng):
 
 def test_outcome_probabilities_at_angle():
     state = bloch_from_angles(math.pi / 4, 0.0)
-    p0, p1 = outcome_probabilities(state, Measurement(Z))
+    p0, p1 = transition_probability(state, Z), transition_probability(state, -Z)
     assert p0 == pytest.approx(0.8535534, abs=1e-7)
     assert p1 == pytest.approx(0.1464466, abs=1e-7)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_outcome_probabilities_clip_to_unit_interval():
-    p0, p1 = outcome_probabilities(Z, Measurement(Z))
+    p0, p1 = transition_probability(Z, Z), transition_probability(Z, -Z)
     assert 0.0 <= p1 <= 1.0 and p0 <= 1.0
 
 
 def test_measurement_basis_states_are_orthogonal():
     m = Measurement(BlochVector.normalized(1.0, 1.0, 1.0))
-    up, down = m.basis_states()
+    up, down = state_from_bloch(m.direction), state_from_bloch(-m.direction)
     overlap = np.conj(up.alpha) * down.alpha + np.conj(up.beta) * down.beta
     assert abs(overlap) == pytest.approx(0.0, abs=1e-12)
     assert bloch_from_state(up).as_array() == pytest.approx(m.direction.as_array(), abs=1e-12)

@@ -18,6 +18,8 @@ from qrac.classical import (
     counting_identity_check,
     majority_strategy_probability,
     MAX_CLASSICAL_N,
+    MAX_COUNTING_M,
+    MAX_MAJORITY_N,
     optimal_classical_probability,
 )
 from qrac.errors import CostLimitError
@@ -102,6 +104,22 @@ def test_exact_optimum_cost_guard_states_bit_length():
         optimal_classical_probability(4 * MAX_CLASSICAL_N)
 
 
+def test_majority_sum_cost_guard():
+    message = "add 2501 binomials of up to 5001 bits; n = 5001 exceeds the limit 5000"
+    with pytest.raises(CostLimitError, match=message):
+        majority_strategy_probability(MAX_MAJORITY_N + 1)
+    with pytest.raises(CostLimitError):  # refused before any work, or this would not return
+        majority_strategy_probability(10**9)
+
+
+def test_counting_identity_cost_guard():
+    message = "add 4003 binomials of up to 4003 bits; m = 2001 exceeds the limit 2000"
+    with pytest.raises(CostLimitError, match=message):
+        counting_identity_check(MAX_COUNTING_M + 1)
+    with pytest.raises(CostLimitError):
+        counting_identity_check(10**9)
+
+
 def test_majority_strategy_object_agrees_with_sum():
     for n in range(1, 7):
         strategy = PureClassicalStrategy.majority(n)
@@ -145,13 +163,12 @@ def test_bitstring_round_trips():
             assert BitString.from_text(s.text) == s
             assert len(s) == n
     s = BitString.from_text("0110")
-    assert s.bit(1) == 0 and s.bit(2) == 1 and s.bit(3) == 1 and s.bit(4) == 0
     assert list(s) == [0, 1, 1, 0]
 
 
 def test_bitstring_text_uses_leftmost_first_bit():
     s = BitString.from_text("10")
-    assert s.bit(1) == 1 and s.bit(2) == 0
+    assert s.bits == (1, 0)
     assert s.text == "10"
 
 
@@ -160,8 +177,6 @@ def test_bitstring_validation():
         BitString.from_text("01a")
     with pytest.raises(ValueError):
         BitString.from_index(4, 2)
-    with pytest.raises(ValueError):
-        BitString((0, 1)).bit(3)
 
 
 def test_asymptotic_examples():

@@ -260,6 +260,42 @@ def test_eval_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+#: JSON coordinates float() cannot take: null, a nested list, an int beyond float range.
+BAD_COORDINATES = {"null": None, "nested-list": [1.0, 0.0], "huge-int": 10**400}
+
+
+@pytest.mark.parametrize("where", ["measurements", "encodings", "circles"])
+@pytest.mark.parametrize("coordinate", list(BAD_COORDINATES))
+def test_unconvertible_coordinate_exits_2(capsys, tmp_path, where, coordinate):
+    bad = [0.0, BAD_COORDINATES[coordinate], 1.0]
+    path = tmp_path / "input.json"
+    if where == "circles":
+        path.write_text(json.dumps([[1, 0, 0], bad, [0, 0, 1]]))
+        argv, context = ("regions", "--circles", str(path)), "circle 2"
+    else:
+        document = code_document(known_code("qrac2"))
+        if where == "measurements":
+            document["measurements"][1], context = bad, "measurement 2"
+        else:
+            document["encodings"]["10"], context = bad, "encoding '10'"
+        path.write_text(json.dumps(document))
+        argv = ("code", "eval", "--json", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {context}: expected a 3-vector, got [0.0, ")
+
+
+def test_string_coordinates_still_load():
+    document = code_document(known_code("qrac2"))
+    as_text = json.loads(json.dumps(document))
+    as_text["measurements"] = [[repr(c) for c in row] for row in document["measurements"]]
+    as_text["encodings"] = {k: [repr(c) for c in v] for k, v in document["encodings"].items()}
+    code, _ = code_from_document(as_text)
+    assert np.array_equal(code.measurement_array(), known_code("qrac2").measurement_array())
+    assert np.array_equal(code.encodings, known_code("qrac2").encodings)
+
+
 # ------------------------------------------------------------------ optimize
 
 

@@ -20,7 +20,6 @@ from qrac.codes import (
     QracCode,
     classical_comparison_scan,
     evaluate,
-    neutral_strings,
     optimal_code,
     optimal_encoding,
     parallelogram_check,
@@ -82,7 +81,7 @@ def test_optimal_encoding_three_axes_hits_cube_corners():
 def test_neutral_string_gets_fallback_vector():
     # two antipodal measurement pairs cancel for half the strings
     ms = (X, X, Y, Y)
-    neutrals = neutral_strings(ms)
+    neutrals = evaluate(optimal_code(ms)).neutral_strings
     assert BitString.from_text("0101") in neutrals
     enc = optimal_encoding(ms)
     assert np.array_equal(enc[BitString.from_text("0101").index], NEUTRAL_FALLBACK.as_array())
@@ -104,7 +103,7 @@ def test_s_value_cost_guard():
 
 def test_every_enumeration_shares_the_cost_guard():
     ms = tuple(Z for _ in range(25))
-    for enumerate_patterns in (optimal_code, optimal_encoding, neutral_strings):
+    for enumerate_patterns in (optimal_code, optimal_encoding):
         with pytest.raises(CostLimitError):
             enumerate_patterns(ms)
     with pytest.raises(CostLimitError):
@@ -166,11 +165,6 @@ def test_report_accessors():
     assert isinstance(report, CodeReport)
     assert report.per_input.shape == (4, 2)
     assert not report.per_input.flags.writeable
-    assert report.probability(BitString.from_text("01"), 1) == pytest.approx(
-        report.per_input[BitString.from_text("01").index, 0]
-    )
-    with pytest.raises(ValueError):
-        report.probability(BitString.from_text("01"), 3)
     assert report.average == pytest.approx(float(report.per_input.mean()), abs=1e-12)
 
 
@@ -330,7 +324,6 @@ def test_kernel_matches_per_string_reference(ms):
     code = optimal_code(ms)
     assert code.encodings.tobytes() == points.tobytes()  # bit-equal, signed zeros too
     assert optimal_encoding(ms).tobytes() == points.tobytes()
-    assert neutral_strings(ms) == neutral
     assert s_value(ms) == pytest.approx(total, rel=1e-12)
     report = evaluate(code)
     assert report.neutral_strings == neutral

@@ -10,8 +10,8 @@ import pytest
 from qrac.bloch import (
     BlochVector,
     Measurement,
-    outcome_probabilities,
     state_from_bloch,
+    transition_probability,
     uniform_directions,
 )
 from qrac.povm import (
@@ -41,7 +41,7 @@ def test_povm_validation():
 
 def test_projective_case():
     p = Povm2(a=1.0, b=0.0, basis=Z)
-    up, down = Z.basis_states()
+    up, down = state_from_bloch(Z.direction), state_from_bloch(-Z.direction)
     assert povm_outcome_probs(p, up) == pytest.approx((1.0, 0.0), abs=1e-15)
     assert povm_outcome_probs(p, down) == pytest.approx((0.0, 1.0), abs=1e-15)
 
@@ -117,7 +117,10 @@ def test_projective_decomposition_matches_orthogonal_measurement(rng):
     for row in uniform_directions(1000, rng):
         r = BlochVector.from_array(row)
         state = state_from_bloch(r)
-        expected = outcome_probabilities(r, basis)
+        expected = (
+            transition_probability(r, basis.direction),
+            transition_probability(r, -basis.direction),
+        )
         assert mixture_outcome_probs(mixture, state) == pytest.approx(expected, abs=1e-12)
 
 
@@ -152,7 +155,7 @@ def test_from_matrix_round_trip(rng):
         direction = BlochVector.from_array(uniform_directions(1, rng)[0])
         basis = Measurement(direction)
         p = Povm2(a=float(a), b=float(b), basis=basis)
-        up, down = basis.basis_states()
+        up, down = state_from_bloch(direction), state_from_bloch(-direction)
         up_vec = np.array([up.alpha, up.beta])
         down_vec = np.array([down.alpha, down.beta])
         matrix = a * np.outer(up_vec, up_vec.conj()) + b * np.outer(down_vec, down_vec.conj())

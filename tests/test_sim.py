@@ -10,7 +10,6 @@ import pytest
 
 from qrac import sim
 from qrac.bloch import BlochVector, Measurement
-from qrac.classical import BitString
 from qrac.codes import QracCode, evaluate, optimal_code
 from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
@@ -41,10 +40,6 @@ def test_report_fields_and_accessor():
     assert not report.randomized
     assert report.frequencies.shape == (4, 2)
     assert not report.frequencies.flags.writeable
-    s = BitString.from_text("10")
-    assert report.frequency(s, 2) == report.frequencies[s.index, 1]
-    with pytest.raises(ValueError):
-        report.frequency(s, 0)
     assert 0.0 <= report.worst_case <= report.average <= 1.0
 
 
