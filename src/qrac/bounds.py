@@ -124,10 +124,9 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     if n < 1:
         raise ValueError("need at least one step")
     if n > MAX_LATTICE_WALK:
-        raise CostLimitError(
-            f"lattice walk of {n} steps sums {(x + 1) * (y + 1) * (z + 1)} terms with "
-            f"int64 weights up to 2**{n}; the limit is {MAX_LATTICE_WALK} steps"
-        )
+        terms = (x + 1) * (y + 1) * (z + 1)
+        cost = f"lattice walk of {n} steps sums {terms} terms with int64 weights up to 2**{n}"
+        raise CostLimitError(cost, "x + y + z", n, MAX_LATTICE_WALK)
     bx, by, bz = (
         np.array([math.comb(m, i) for i in range(m + 1)], dtype=np.int64) for m in (x, y, z)
     )

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloch import BlochVector, Measurement
+from .bloch import BlochVector
 from .bounds import (
     ASYMPTOTIC_VALID_FROM,
     orthogonal_lower_bound,
@@ -62,7 +62,7 @@ def code_document(
     document: dict = {
         "schema_version": SCHEMA_VERSION,
         "n": code.n,
-        "measurements": code.measurement_array().tolist(),
+        "measurements": code.measurements.tolist(),
         "encodings": {  # the key of index i is its n-bit binary form, reversed
             format(i, f"0{code.n}b")[::-1]: row
             for i, row in enumerate(code.encodings.tolist())
@@ -80,7 +80,8 @@ def code_document(
 
 def _coordinates(raw: object, context: str) -> tuple[float, float, float]:
     """The three coordinates of a JSON 3-vector as floats; anything else is a ValueError."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 3:
+    # bool is refused too, though float() would make true and false 1.0 and 0.0
+    if isinstance(raw, (list, tuple)) and len(raw) == 3 and bool not in map(type, raw):
         try:  # null, a list, a non-numeric string or an int beyond float range
             x, y, z = (float(c) for c in raw)
             return x, y, z
@@ -89,13 +90,13 @@ def _coordinates(raw: object, context: str) -> tuple[float, float, float]:
     raise ValueError(f"{context}: expected a 3-vector, got {raw!r}")
 
 
-def _vector_from_json(raw: object, context: str) -> BlochVector:
+def _vector_from_json(raw: object, context: str) -> tuple[float, float, float]:
     x, y, z = _coordinates(raw, context)
     norm = math.sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) <= _KEEP_NORM:
-        return BlochVector(x, y, z)
+        return x, y, z
     if abs(norm - 1.0) <= _REJECT_NORM:
-        return BlochVector(x / norm, y / norm, z / norm)
+        return x / norm, y / norm, z / norm
     raise ValueError(f"{context}: vector norm {norm!r} is too far from 1")
 
 
@@ -103,11 +104,12 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
     """All encoding vectors in key order by _vector_from_json's rule, as one array.
 
     Returns None when any row is not a 3-vector within _REJECT_NORM of unit
-    norm; the caller then checks the rows one at a time, so that the error
-    names the first bad key in document order.
+    norm, or holds a JSON true or false; the caller then checks the rows one
+    at a time, so that the error names the first bad key in document order.
     """
+    raw_rows = list(encodings_raw.values())
     try:
-        rows = np.array(list(encodings_raw.values()), dtype=float)
+        rows = np.array(raw_rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
     if rows.shape != (len(encodings_raw), 3):
@@ -115,6 +117,10 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
     norm = _norms(rows)
     deviation = np.abs(norm - 1.0)
     if not np.all(deviation <= _REJECT_NORM):
+        return None
+    # a bool converts to exactly 0.0 or 1.0, so only rows holding one need a type scan
+    suspects = np.flatnonzero(((rows == 0.0) | (rows == 1.0)).any(axis=1)).tolist()
+    if any(bool in map(type, raw_rows[i]) for i in suspects):
         return None
     rescale = deviation > _KEEP_NORM
     rows[rescale] /= norm[rescale, None]
@@ -126,7 +132,7 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     if not isinstance(document, dict):
         raise ValueError("code document must be a JSON object")
     version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     n = document.get("n")
     measurements_raw = document.get("measurements")
@@ -137,10 +143,9 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
         raise ValueError(f"expected {n} measurement vectors")
     if not isinstance(encodings_raw, dict) or len(encodings_raw) != 1 << n:
         raise ValueError(f"expected {1 << n} encodings for n = {n}")
-    measurements = tuple(
-        Measurement(_vector_from_json(raw, f"measurement {i + 1}"))
-        for i, raw in enumerate(measurements_raw)
-    )
+    measurements = [
+        _vector_from_json(raw, f"measurement {i + 1}") for i, raw in enumerate(measurements_raw)
+    ]
     points = np.empty((1 << n, 3))
     rows = _bulk_unit_rows(encodings_raw)
     indices = []
@@ -149,8 +154,7 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
             raise ValueError(f"encoding key {key!r} is not a string of {n} bits")
         indices.append(int(key[::-1], 2))
         if rows is None:
-            r = _vector_from_json(raw, f"encoding {key!r}")
-            points[indices[-1]] = (r.x, r.y, r.z)
+            points[indices[-1]] = _vector_from_json(raw, f"encoding {key!r}")
     if rows is not None:
         points[indices] = rows
     metadata = document.get("metadata") or {}
@@ -195,10 +199,9 @@ def _cmd_classical(args: argparse.Namespace) -> int:
             text = str(exact)
         except ValueError:  # the denominator, the larger term, exceeds the int-to-str limit
             digits = int(math.log10(exact.denominator)) + 1
-            raise CostLimitError(
-                f"the exact fraction for n = {n} has a {digits}-digit denominator; the "
-                f"interpreter converts at most {sys.get_int_max_str_digits()} digits"
-            ) from None
+            cost = f"the exact fraction for n = {n} has a {digits}-digit denominator"
+            limit = sys.get_int_max_str_digits()
+            raise CostLimitError(cost, "printed digits", digits, limit) from None
         print(text)
         return 0
     asymptotic = classical_asymptotic(n)

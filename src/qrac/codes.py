@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +87,8 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     if n < 1:
         raise ValueError("need at least one measurement")
     if n > MAX_SIGN_ENUMERATION:
-        raise CostLimitError(
-            f"sign-pattern enumeration visits 2**(n-1) signed sums; "
-            f"n = {n} exceeds the limit {MAX_SIGN_ENUMERATION}"
-        )
+        cost = "sign-pattern enumeration visits 2**(n-1) signed sums"
+        raise CostLimitError(cost, "n", n, MAX_SIGN_ENUMERATION)
     half = 1 << (n - 1)
 
     def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -150,44 +148,37 @@ def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
 class QracCode:
     """A complete code: n measurement directions plus an encoding per string.
 
-    `encodings` is a read-only (2^n, 3) array of encoding points in
+    Both fields are read-only arrays.  `measurements` is (n, 3): row i is the
+    direction measured for position i+1.  `encodings` is (2^n, 3) in
     input-index order: row x.index is the point for string x.  The
-    constructor takes any array-like of that shape, copies it, and checks
-    that every row has unit norm within UNIT_TOLERANCE.
+    constructor takes any array-likes of those shapes, copies them, and
+    checks that every row of both has unit norm within UNIT_TOLERANCE.
     """
 
-    measurements: tuple[Measurement, ...]
+    measurements: np.ndarray
     encodings: np.ndarray
-    _dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.measurements)
         if n < 1:
             raise ValueError("need at least one measurement")
-        points = np.array(self.encodings, dtype=float)
-        if points.shape != (1 << n, 3) or not np.all(
-            np.abs(_norms(points) - 1.0) <= UNIT_TOLERANCE
-        ):
-            raise ValueError(f"encodings must be {1 << n} unit 3-vectors as rows for n = {n}")
-        points.setflags(write=False)
-        dirs = _direction_array(self.measurements)
-        dirs.setflags(write=False)
-        object.__setattr__(self, "measurements", tuple(self.measurements))
-        object.__setattr__(self, "encodings", points)
-        object.__setattr__(self, "_dirs", dirs)
+        for name, count in (("measurements", n), ("encodings", 1 << n)):
+            rows = np.array(getattr(self, name), dtype=float)
+            if rows.shape != (count, 3) or not np.all(
+                np.abs(_norms(rows) - 1.0) <= UNIT_TOLERANCE
+            ):
+                raise ValueError(f"{name} must be {count} unit 3-vectors as rows for n = {n}")
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     @property
     def n(self) -> int:
         return len(self.measurements)
 
-    def measurement_array(self) -> np.ndarray:
-        """Measurement directions as a read-only (n, 3) array, row i = position i+1."""
-        return self._dirs
-
 
 def optimal_code(measurements: Sequence[Measurement]) -> QracCode:
     """The code using the given measurements with their best encodings."""
-    return QracCode(tuple(measurements), optimal_encoding(measurements))
+    return QracCode(_direction_array(measurements), optimal_encoding(measurements))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +211,9 @@ def evaluate(code: QracCode) -> CodeReport:
     """Score a code: per-cell success probabilities plus their aggregates."""
     if code.n > MAX_EVALUATE:
         matrix_bytes = 8 * code.n * (1 << code.n)
-        raise CostLimitError(
-            f"per-cell scoring holds (2**n, n) float64 matrices of {matrix_bytes} bytes each; "
-            f"n = {code.n} exceeds the limit {MAX_EVALUATE}"
-        )
-    dirs = code.measurement_array()
+        cost = f"per-cell scoring holds (2**n, n) float64 matrices of {matrix_bytes} bytes each"
+        raise CostLimitError(cost, "n", code.n, MAX_EVALUATE)
+    dirs = code.measurements
     s, neutral = _norm_sum_and_neutral(dirs)
     per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encodings @ dirs.T))
     np.clip(per_input, 0.0, 1.0, out=per_input)
@@ -257,9 +246,7 @@ def parallelogram_check(measurements: Sequence[Measurement]) -> bool:
     """
     n = len(measurements)
     if n > MAX_PARALLELOGRAM:
-        raise CostLimitError(
-            f"identity check enumerates 2**n terms; n = {n} exceeds the limit {MAX_PARALLELOGRAM}"
-        )
+        raise CostLimitError("identity check enumerates 2**n terms", "n", n, MAX_PARALLELOGRAM)
     total = 0.0
     for _, sums, _ in _signed_sums(_direction_array(measurements)):
         total += float((sums * sums).sum())

@@ -241,11 +241,8 @@ class GreatCircleArrangement:
         k = len(self.normals)
         if k > MAX_CIRCLES:
             points = k * (k - 1)
-            raise CostLimitError(
-                f"{k} circles meet in {points} intersection points "
-                f"({24 * points} bytes as float64 3-vectors); "
-                f"the limit is {MAX_CIRCLES} circles"
-            )
+            size = f"{points} intersection points ({24 * points} bytes as float64 3-vectors)"
+            raise CostLimitError(f"{k} circles meet in {size}", "circles", k, MAX_CIRCLES)
         first, second, cross = _pair_crosses(self.normals)
         coincident = np.flatnonzero(np.linalg.norm(cross, axis=1) < COINCIDENT_TOLERANCE)
         if coincident.size:

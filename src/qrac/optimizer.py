@@ -127,9 +127,7 @@ def _measurements(dirs: np.ndarray) -> tuple[Measurement, ...]:
 
 def _check_size(n: int) -> None:
     if n > MAX_OPTIMIZE_N:
-        raise CostLimitError(
-            f"each see-saw step costs O(n*2^n); n = {n} exceeds the limit {MAX_OPTIMIZE_N}"
-        )
+        raise CostLimitError("each see-saw step costs O(n*2^n)", "n", n, MAX_OPTIMIZE_N)
 
 
 def optimize(

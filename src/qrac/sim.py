@@ -185,11 +185,9 @@ def simulate_code(
     n = code.n
     cell_trials = (1 << n) * n * trials_per_input
     if cell_trials > MAX_CELL_TRIALS:
-        raise CostLimitError(
-            f"simulation runs 2**{n} * {n} * {trials_per_input} = {cell_trials} "
-            f"cell-trials; the limit is {MAX_CELL_TRIALS}"
-        )
-    dirs = code.measurement_array()
+        cost = f"simulation runs 2**{n} * {n} * {trials_per_input} = {cell_trials} cell-trials"
+        raise CostLimitError(cost, "cell-trials", cell_trials, MAX_CELL_TRIALS)
+    dirs = code.measurements
     points = code.encodings
     trials = trials_per_input
     n_cells = (1 << n) * n

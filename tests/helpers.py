@@ -17,28 +17,25 @@ def random_measurements(n: int, rng: np.random.Generator) -> tuple[Measurement, 
     return tuple(Measurement(BlochVector.from_array(row)) for row in uniform_directions(n, rng))
 
 
-def signed_direction_sum(measurements: tuple[Measurement, ...], x: BitString) -> np.ndarray:
-    """Sum of measurement directions with sign (-1)^(x_i) on the i-th term.
+def signed_direction_sum(dirs: np.ndarray, x: BitString) -> np.ndarray:
+    """Sum of the (n, 3) direction rows with sign (-1)^(x_i) on the i-th term.
 
     The per-string reference for the sign-pattern kernel.  Terms are added one
     by one in position order from +0.0: the order in which an OpenBLAS matrix
     product over many sign rows accumulates each row, so the two agree bit for
     bit.
     """
-    if len(measurements) != len(x):
-        raise ValueError(
-            f"string length {len(x)} does not match measurement count {len(measurements)}"
-        )
+    if len(dirs) != len(x):
+        raise ValueError(f"string length {len(x)} does not match measurement count {len(dirs)}")
     total = np.zeros(3)
-    for bit, m in zip(x, measurements):
-        direction = m.direction.as_array()
+    for bit, direction in zip(x, dirs):
         total = total - direction if bit else total + direction
     return total
 
 
 def reference_plain_p0(code: QracCode) -> np.ndarray:
     """The per-cell loop that built the plain-mode p0 table, in cell order x * n + i."""
-    points, dirs = code.encodings, code.measurement_array()
+    points, dirs = code.encodings, code.measurements
     return np.array([0.5 * (1.0 + float(point @ v)) for point in points for v in dirs])
 
 
@@ -143,7 +140,7 @@ def reference_simulate_code(
     when `cells` is None.
     """
     n = code.n
-    dirs = code.measurement_array()
+    dirs = code.measurements
     points = code.encodings
     mask = (1 << n) - 1
     trials = trials_per_input

@@ -296,13 +296,13 @@ def test_criterion_11_property_suites():
     print("criterion 11: parallelogram identity holds on 1000 random sets (n cycling 1..10)")
 
     for n in range(2, 7):
-        ms = random_measurements(n, rng)
-        best = evaluate(optimal_code(ms)).average
+        code = optimal_code(random_measurements(n, rng))
+        best = evaluate(code).average
         from qrac.codes import QracCode
 
         for _ in range(1000):
             rows = uniform_directions(1 << n, rng)
-            trial = evaluate(QracCode(measurements=ms, encodings=rows)).average
+            trial = evaluate(QracCode(measurements=code.measurements, encodings=rows)).average
             assert trial <= best + 1e-12
     print("criterion 11: no random encoding beat the aligned one (1000 trials per n=2..6)")
 

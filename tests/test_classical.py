@@ -20,6 +20,7 @@ from qrac.classical import (
     MAX_CLASSICAL_N,
     MAX_COUNTING_M,
     MAX_MAJORITY_N,
+    MAX_STRATEGY_N,
     optimal_classical_probability,
 )
 from qrac.errors import CostLimitError
@@ -118,6 +119,14 @@ def test_counting_identity_cost_guard():
         counting_identity_check(MAX_COUNTING_M + 1)
     with pytest.raises(CostLimitError):
         counting_identity_check(10**9)
+
+
+def test_strategy_table_cost_guard():
+    message = "the encoding table has 2\\*\\*19 entries; n = 19 exceeds the limit 18"
+    with pytest.raises(CostLimitError, match=message):
+        PureClassicalStrategy.majority(MAX_STRATEGY_N + 1)
+    with pytest.raises(CostLimitError):  # refused before the table is built
+        PureClassicalStrategy.majority(10**9)
 
 
 def test_majority_strategy_object_agrees_with_sum():

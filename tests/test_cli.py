@@ -138,7 +138,7 @@ def test_round_trip_preserves_vectors_bitwise(tmp_path):
     document = code_document(original, name="qrac6")
     rebuilt, metadata = code_from_document(json.loads(json.dumps(document)))
     assert metadata["name"] == "qrac6"
-    assert np.array_equal(original.measurement_array(), rebuilt.measurement_array())
+    assert np.array_equal(original.measurements, rebuilt.measurements)
     assert np.array_equal(original.encodings, rebuilt.encodings)
     before = evaluate(original)
     after = evaluate(rebuilt)
@@ -190,6 +190,16 @@ def test_eval_rejects_wrong_schema_version(tmp_path, capsys):
     assert "schema_version" in err
 
 
+def test_eval_rejects_boolean_schema_version(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac2"))
+    document["schema_version"] = True  # equal to 1 in Python, so once accepted
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "code", "eval", "--json", str(path))
+    assert code == 2
+    assert "unsupported schema_version True" in err
+
+
 def test_eval_rejects_boolean_n(tmp_path, capsys):
     # a valid one-bit document, except that n is the JSON literal true
     path = tmp_path / "code.json"
@@ -218,7 +228,7 @@ def test_encoding_rows_load_as_one_at_a_time(rng):
         document["encodings"][key] = [c * scale for c in document["encodings"][key]]
     expected = np.empty((1 << 7, 3))
     for key, raw in document["encodings"].items():
-        expected[int(key[::-1], 2)] = _vector_from_json(raw, key).as_array()
+        expected[int(key[::-1], 2)] = _vector_from_json(raw, key)
     code, _ = code_from_document(json.loads(json.dumps(document)))
     assert np.array_equal(code.encodings, expected)
 
@@ -260,8 +270,12 @@ def test_eval_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
-#: JSON coordinates float() cannot take: null, a nested list, an int beyond float range.
-BAD_COORDINATES = {"null": None, "nested-list": [1.0, 0.0], "huge-int": 10**400}
+#: JSON coordinates the loaders refuse: null, a nested list and an int beyond float
+#: range, which float() cannot take, and true and false, which it would take as 1.0 and
+#: 0.0 ([0.0, false, 1.0] as a unit vector, so that only the type check refuses it).
+BAD_COORDINATES = {
+    "null": None, "nested-list": [1.0, 0.0], "huge-int": 10**400, "true": True, "false": False
+}
 
 
 @pytest.mark.parametrize("where", ["measurements", "encodings", "circles"])
@@ -292,7 +306,7 @@ def test_string_coordinates_still_load():
     as_text["measurements"] = [[repr(c) for c in row] for row in document["measurements"]]
     as_text["encodings"] = {k: [repr(c) for c in v] for k, v in document["encodings"].items()}
     code, _ = code_from_document(as_text)
-    assert np.array_equal(code.measurement_array(), known_code("qrac2").measurement_array())
+    assert np.array_equal(code.measurements, known_code("qrac2").measurements)
     assert np.array_equal(code.encodings, known_code("qrac2").encodings)
 
 

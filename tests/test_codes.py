@@ -33,6 +33,7 @@ from helpers import random_measurements, signed_direction_sum
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Y = Measurement(BlochVector(0.0, 1.0, 0.0))
 Z = Measurement(BlochVector(0.0, 0.0, 1.0))
+XYZ = np.eye(3)  # the same three directions as rows
 
 
 def test_sign_matrix_matches_bit_expansion():
@@ -51,10 +52,10 @@ def test_sign_matrix_chunk_slicing():
 
 def test_signed_direction_sum_examples():
     zero = BitString.from_text("0")
-    assert signed_direction_sum((Z,), zero) == pytest.approx([0.0, 0.0, 1.0])
-    v = signed_direction_sum((X, Y), BitString.from_text("00"))
+    assert signed_direction_sum(XYZ[2:], zero) == pytest.approx([0.0, 0.0, 1.0])
+    v = signed_direction_sum(XYZ[:2], BitString.from_text("00"))
     assert v == pytest.approx([1.0, 1.0, 0.0])
-    v = signed_direction_sum((X, Y), BitString.from_text("10"))
+    v = signed_direction_sum(XYZ[:2], BitString.from_text("10"))
     assert v == pytest.approx([-1.0, 1.0, 0.0])
 
 
@@ -180,32 +181,47 @@ def test_average_matches_norm_sum_identity(rng):
 
 def test_qrac_code_validation():
     enc = optimal_encoding((X, Y))
-    with pytest.raises(ValueError, match="2 unit 3-vectors"):
-        QracCode(measurements=(X,), encodings=enc)  # too many rows
-    with pytest.raises(ValueError, match="8 unit 3-vectors"):
-        QracCode(measurements=(X, Y, Z), encodings=enc)
+    with pytest.raises(ValueError, match="encodings must be 2 unit 3-vectors"):
+        QracCode(measurements=XYZ[:1], encodings=enc)  # too many rows
+    with pytest.raises(ValueError, match="encodings must be 8 unit 3-vectors"):
+        QracCode(measurements=XYZ, encodings=enc)
     with pytest.raises(ValueError):
-        QracCode(measurements=(X, Y), encodings=enc[:, :2])  # wrong width
+        QracCode(measurements=XYZ[:2], encodings=enc[:, :2])  # wrong width
+    with pytest.raises(ValueError, match="need at least one measurement"):
+        QracCode(measurements=XYZ[:0], encodings=enc[:1])
+    with pytest.raises(ValueError, match="measurements must be 2 unit 3-vectors"):
+        QracCode(measurements=XYZ[:2, :2], encodings=enc)  # wrong width
     for bad_row in ([1.0 + 1e-9, 0, 0], [0, 0, 0], [math.nan, 0, 0], [math.inf, 0, 0]):
         bad = enc.copy()
         bad[2] = bad_row
-        with pytest.raises(ValueError):
-            QracCode(measurements=(X, Y), encodings=bad)
+        with pytest.raises(ValueError, match="encodings must be"):
+            QracCode(measurements=XYZ[:2], encodings=bad)
+        bad = XYZ[:2].copy()
+        bad[1] = bad_row
+        with pytest.raises(ValueError, match="measurements must be"):
+            QracCode(measurements=bad, encodings=enc)
     within = enc.copy()
     within[2] *= 1.0 + 5e-13  # inside UNIT_TOLERANCE
-    assert np.array_equal(QracCode(measurements=(X, Y), encodings=within).encodings, within)
+    assert np.array_equal(QracCode(measurements=XYZ[:2], encodings=within).encodings, within)
+    within = XYZ[:2] * (1.0 + 5e-13)
+    assert np.array_equal(QracCode(measurements=within, encodings=enc).measurements, within)
 
 
 def test_code_copies_its_encodings_and_is_read_only():
     rows = np.array(optimal_encoding((X, Y)))
-    code = QracCode(measurements=(X, Y), encodings=rows)
+    dirs = XYZ[:2].copy()
+    code = QracCode(measurements=dirs, encodings=rows)
     rows[0] = (0.0, 0.0, 1.0)
+    dirs[0] = (0.0, 0.0, 1.0)
     assert np.array_equal(code.encodings, optimal_encoding((X, Y)))
-    assert not code.encodings.flags.writeable
-    with pytest.raises(ValueError):
-        code.encodings[0, 0] = 1.0
-    from_list = QracCode(measurements=(X, Y), encodings=rows.tolist())
+    assert np.array_equal(code.measurements, XYZ[:2])
+    for array in (code.encodings, code.measurements):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    from_list = QracCode(measurements=dirs.tolist(), encodings=rows.tolist())
     assert np.array_equal(from_list.encodings, rows)
+    assert np.array_equal(from_list.measurements, dirs)
 
 
 def test_code_arrays_are_index_ordered():
@@ -214,7 +230,7 @@ def test_code_arrays_are_index_ordered():
     assert arr.shape == (4, 3)
     for index in range(4):
         s = BitString.from_index(index, 2)
-        expected = signed_direction_sum((X, Y), s) / math.sqrt(2)
+        expected = signed_direction_sum(XYZ[:2], s) / math.sqrt(2)
         assert arr[index] == pytest.approx(expected, abs=1e-15)
 
 
@@ -237,11 +253,11 @@ def test_every_average_respects_upper_bound(rng):
 def test_optimal_encoding_beats_random_encodings(rng):
     # replacing the aligned encodings by random unit vectors can only lose
     for n in range(2, 7):
-        ms = random_measurements(n, rng)
-        best = evaluate(optimal_code(ms)).average
+        code = optimal_code(random_measurements(n, rng))
+        best = evaluate(code).average
         for _ in range(40):
             rows = uniform_directions(1 << n, rng)
-            other = evaluate(QracCode(measurements=ms, encodings=rows)).average
+            other = evaluate(QracCode(measurements=code.measurements, encodings=rows)).average
             assert other <= best + 1e-12
 
 
@@ -303,10 +319,11 @@ def direction_sets(draw) -> tuple[Measurement, ...]:
 def _per_string_reference(ms):
     """Encodings, neutral strings and norm sum, one input string at a time."""
     n = len(ms)
+    dirs = np.array([m.direction.as_array() for m in ms])
     points, neutral, total = [], [], 0.0
     for index in range(1 << n):
         x = BitString.from_index(index, n)
-        v = signed_direction_sum(ms, x)
+        v = signed_direction_sum(dirs, x)
         norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
         total += norm
         if norm < NEUTRAL_CUTOFF:

@@ -233,7 +233,7 @@ def _vertex_histogram(name: str) -> dict[str, dict[int, int]]:
     for index in range(1 << construction.n):
         s = BitString.from_index(index, construction.n)
         tag = classify_string(name, s)
-        v = np.asarray(signed_direction_sum(known_code(name).measurements, s))
+        v = signed_direction_sum(known_code(name).measurements, s)
         unit = v / np.linalg.norm(v)
         distances = np.linalg.norm(vertex_sets[tag] - unit, axis=1)
         hit = int(np.argmin(distances))
