@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,8 @@ NEUTRAL_FALLBACK = BlochVector(0.0, 0.0, 1.0)
 #: Hard guard for every 2^n sign-pattern enumeration (the kernel _signed_sums).
 MAX_SIGN_ENUMERATION = 24
 
-#: Hard guard for evaluate: its per-cell matrices are (2^n, n) float64, 8 * n * 2^n
-#: bytes each (38 MB at n = 18), several alive at once.
+#: Hard guard for evaluate: its time grows with the n * 2^n cells it scores, and
+#: per_input, once read, holds them as 8 * n * 2^n bytes of float64 (38 MB at n = 18).
 MAX_EVALUATE = 18
 
 #: Hard guard for the 2^n enumeration in parallelogram_check.
@@ -157,13 +158,15 @@ class QracCode:
 
     measurements: np.ndarray
     encodings: np.ndarray
+    #: False adopts float arrays that nothing else holds (optimal_code's) uncopied.
+    _copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _copy: bool) -> None:
         n = len(self.measurements)
         if n < 1:
             raise ValueError("need at least one measurement")
         for name, count in (("measurements", n), ("encodings", 1 << n)):
-            rows = np.array(getattr(self, name), dtype=float)
+            rows = np.array(getattr(self, name), dtype=float, copy=_copy)
             if rows.shape != (count, 3) or not np.all(
                 np.abs(_norms(rows) - 1.0) <= UNIT_TOLERANCE
             ):
@@ -178,7 +181,17 @@ class QracCode:
 
 def optimal_code(measurements: Sequence[Measurement]) -> QracCode:
     """The code using the given measurements with their best encodings."""
-    return QracCode(_direction_array(measurements), optimal_encoding(measurements))
+    return QracCode(_direction_array(measurements), optimal_encoding(measurements), _copy=False)
+
+
+def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, p) blocks of _CHUNK rows: p[k, i] is cell (start + k, i)'s clipped probability."""
+    n, dirs = code.n, code.measurements
+    for start in range(0, 1 << n, _CHUNK):
+        stop = min(start + _CHUNK, 1 << n)
+        block = 0.5 * (1.0 + sign_matrix(n, start, stop) * (code.encodings[start:stop] @ dirs.T))
+        np.clip(block, 0.0, 1.0, out=block)
+        yield start, block
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,20 +199,26 @@ class CodeReport:
     """Success probabilities of a code, per input/position and in aggregate.
 
     `per_input[x.index, i-1]` is the probability of answering position i
-    correctly on input x.  `worst_case` is the smallest such cell — the
-    deterministic worst case.  Once the protocol is wrapped in shared
-    randomization the worst case rises to the average, exposed as
-    `randomized_worst_case`.
+    correctly on input x: a read-only (2^n, n) array, built from `code` on
+    first read and kept.  `average` and `worst_case` are computed without
+    it; `worst_case` is the smallest cell — the deterministic worst case.
+    Once the protocol is wrapped in shared randomization the worst case
+    rises to the average, exposed as `randomized_worst_case`.
     """
 
-    per_input: np.ndarray
+    code: QracCode
     average: float
     worst_case: float
     s_value: float
     neutral_strings: tuple[BitString, ...]
 
-    def __post_init__(self) -> None:
-        self.per_input.setflags(write=False)
+    @cached_property
+    def per_input(self) -> np.ndarray:
+        table = np.empty((1 << self.code.n, self.code.n))
+        for start, block in _cell_probabilities(self.code):
+            table[start : start + len(block)] = block
+        table.setflags(write=False)
+        return table
 
     @property
     def randomized_worst_case(self) -> float:
@@ -208,19 +227,26 @@ class CodeReport:
 
 
 def evaluate(code: QracCode) -> CodeReport:
-    """Score a code: per-cell success probabilities plus their aggregates."""
-    if code.n > MAX_EVALUATE:
-        matrix_bytes = 8 * code.n * (1 << code.n)
-        cost = f"per-cell scoring holds (2**n, n) float64 matrices of {matrix_bytes} bytes each"
-        raise CostLimitError(cost, "n", code.n, MAX_EVALUATE)
-    dirs = code.measurements
-    s, neutral = _norm_sum_and_neutral(dirs)
-    per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encodings @ dirs.T))
-    np.clip(per_input, 0.0, 1.0, out=per_input)
+    """Score a code: average and worst case over all cells, one block at a time."""
+    n = code.n
+    if n > MAX_EVALUATE:
+        cost = f"scoring visits 2**{n} * {n} = {n << n} cells, which per_input holds in {8 * n << n} bytes"
+        raise CostLimitError(cost, "n", n, MAX_EVALUATE)
+    s, neutral = _norm_sum_and_neutral(code.measurements)
+    sums, lows = [], []
+    for _, block in _cell_probabilities(code):
+        sums.append(np.add.reduce(block, axis=None))
+        lows.append(block.min())
+    # numpy's pairwise sum splits a contiguous array in halves rounded to multiples
+    # of 8, so on the n * 2^n cells it splits exactly at _CHUNK-row boundaries:
+    # adding the block sums (a power of two of them) as a balanced tree
+    # reproduces per_input.mean() bit for bit.
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return CodeReport(
-        per_input=per_input,
-        average=float(per_input.mean()),
-        worst_case=float(per_input.min()),
+        code=code,
+        average=float(sums[0] / (n << n)),
+        worst_case=float(min(lows)),
         s_value=s,
         neutral_strings=neutral,
     )

@@ -8,7 +8,13 @@ import numpy as np
 
 from qrac.bloch import BlochVector, Measurement, uniform_directions
 from qrac.classical import BitString
-from qrac.codes import NEUTRAL_CUTOFF, QracCode, probability_from_s_value, sign_matrix
+from qrac.codes import (
+    NEUTRAL_CUTOFF,
+    QracCode,
+    _norm_sum_and_neutral,
+    probability_from_s_value,
+    sign_matrix,
+)
 from qrac.optimizer import OptimizerConfig, RestartTrace
 
 
@@ -31,6 +37,21 @@ def signed_direction_sum(dirs: np.ndarray, x: BitString) -> np.ndarray:
     for bit, direction in zip(x, dirs):
         total = total - direction if bit else total + direction
     return total
+
+
+def reference_evaluate(
+    code: QracCode,
+) -> tuple[np.ndarray, float, float, float, tuple[BitString, ...]]:
+    """The dense scoring that the blockwise evaluate replaced.
+
+    Builds the whole (2^n, n) table at once and returns (per_input, average,
+    worst_case, s_value, neutral_strings), the average as per_input.mean().
+    """
+    dirs = code.measurements
+    s, neutral = _norm_sum_and_neutral(dirs)
+    per_input = 0.5 * (1.0 + sign_matrix(code.n) * (code.encodings @ dirs.T))
+    np.clip(per_input, 0.0, 1.0, out=per_input)
+    return per_input, float(per_input.mean()), float(per_input.min()), s, neutral
 
 
 def reference_plain_p0(code: QracCode) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qrac.codes import (
     MAX_EVALUATE,
     NEUTRAL_CUTOFF,
     NEUTRAL_FALLBACK,
+    _CHUNK,
     CodeReport,
     QracCode,
     classical_comparison_scan,
@@ -27,8 +29,9 @@ from qrac.codes import (
     sign_matrix,
     upper_bound,
 )
+from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
-from helpers import random_measurements, signed_direction_sum
+from helpers import random_measurements, reference_evaluate, signed_direction_sum
 
 X = Measurement(BlochVector(1.0, 0.0, 0.0))
 Y = Measurement(BlochVector(0.0, 1.0, 0.0))
@@ -167,6 +170,54 @@ def test_report_accessors():
     assert report.per_input.shape == (4, 2)
     assert not report.per_input.flags.writeable
     assert report.average == pytest.approx(float(report.per_input.mean()), abs=1e-12)
+
+
+def _scored_codes(rng):
+    """The named constructions, then optimal and random-encoding codes for n = 1..18."""
+    for name in construction_names():
+        yield known_code(name)
+    for n in range(1, MAX_EVALUATE + 1):
+        code = optimal_code(random_measurements(n, rng))
+        yield code
+        yield QracCode(code.measurements, uniform_directions(1 << n, rng))
+
+
+def test_evaluate_matches_dense_reference(rng):
+    # the block sums, added as a tree, must give per_input.mean() exactly; the
+    # top n span several _CHUNK-row blocks, so the tree is exercised
+    assert (1 << MAX_EVALUATE) // _CHUNK == 4
+    for code in _scored_codes(rng):
+        per_input, average, worst_case, s, neutral = reference_evaluate(code)
+        report = evaluate(code)
+        assert report.average == average, code.n
+        assert report.worst_case == worst_case, code.n
+        assert report.s_value == s, code.n
+        assert report.neutral_strings == neutral, code.n
+        assert np.array_equal(report.per_input, per_input), code.n
+
+
+def test_evaluate_never_holds_the_whole_table(rng):
+    n = MAX_EVALUATE
+    code = optimal_code(random_measurements(n, rng))
+    tracemalloc.start()
+    try:
+        evaluate(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (2^n, n) float64 table is 37.7 MB; the dense scoring peaked at 77.7 MB
+    assert peak < 8 * n << n
+
+
+def test_per_input_is_built_on_first_read_and_kept():
+    report = evaluate(known_code("qrac3"))
+    assert "per_input" not in vars(report)
+    table = report.per_input
+    assert table.shape == (8, 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert report.per_input is table
 
 
 def test_average_matches_norm_sum_identity(rng):
