@@ -47,8 +47,9 @@ class BlochVector:
         x, y, z = vec
         return cls(float(x), float(y), float(z))
 
-    def as_array(self) -> np.ndarray:
-        return np.array((self.x, self.y, self.z))
+    def __array__(self, dtype: object = None, copy: bool | None = None) -> np.ndarray:
+        """A new (3,) array, so that a sequence of BlochVector is an (n, 3) array-like."""
+        return np.array((self.x, self.y, self.z), dtype=dtype)
 
     def dot(self, other: BlochVector) -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -70,15 +71,9 @@ class QubitState:
             raise ValueError(f"state must be normalized, got |alpha|^2 + |beta|^2 = {norm_sq!r}")
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """A two-outcome projective measurement along an axis.
-
-    Outcome 0 projects onto the state at `direction`, outcome 1 onto its
-    antipode.
-    """
-
-    direction: BlochVector
+def Measurement(direction: BlochVector) -> BlochVector:
+    """A measurement is its direction; kept only as the name `perfbench/` scripts call."""
+    return direction
 
 
 def state_from_bloch(r: BlochVector) -> QubitState:

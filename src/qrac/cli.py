@@ -157,7 +157,7 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
             points[indices[-1]] = _vector_from_json(raw, f"encoding {key!r}")
     if rows is not None:
         points[indices] = rows
-    metadata = document.get("metadata") or {}
+    metadata = {} if document.get("metadata") is None else document["metadata"]
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
     return QracCode(measurements, points), metadata
@@ -185,9 +185,9 @@ def _print_code_report(name: str | None, code: QracCode, report: CodeReport) -> 
     print(f"neutral_strings: {neutral}")
 
 
-def _angles(direction: BlochVector) -> tuple[float, float]:
-    theta = math.acos(min(1.0, max(-1.0, direction.z)))
-    phi = math.atan2(direction.y, direction.x) % (2.0 * math.pi)
+def _angles(x: float, y: float, z: float) -> tuple[float, float]:
+    theta = math.acos(min(1.0, max(-1.0, z)))
+    phi = math.atan2(y, x) % (2.0 * math.pi)
     return theta, phi
 
 
@@ -262,8 +262,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"probability: {_format_probability(probability)}")
     print(f"restarts: {config.restarts}")
     print(f"best_restart: {report.best_restart}")
-    for index, measurement in enumerate(measurements, start=1):
-        theta, phi = _angles(measurement.direction)
+    for index, direction in enumerate(measurements.tolist(), start=1):
+        theta, phi = _angles(*direction)
         print(f"direction {index}: theta={theta:.6f} phi={phi:.6f}")
     if args.json:
         code = optimal_code(measurements)
@@ -301,12 +301,11 @@ def _circles_from_file(path: str) -> tuple[BlochVector, ...]:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     if args.name:
-        construction = known_construction(args.name)
-        normals = construction.measurements
+        normals = known_construction(args.name).measurements
         code = known_code(args.name)
         points = [
-            {"label": f"v{i + 1}", "vec": [v.x, v.y, v.z], "kind": "measurement"}
-            for i, v in enumerate(normals)
+            {"label": f"v{i + 1}", "vec": row, "kind": "measurement"}
+            for i, row in enumerate(normals.tolist())
         ] + [
             {"label": format(i, f"0{code.n}b")[::-1], "vec": row, "kind": "encoding"}
             for i, row in enumerate(code.encodings.tolist())
@@ -314,14 +313,14 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     else:
         normals = _circles_from_file(args.circles)
         points = []
-    arrangement = GreatCircleArrangement(tuple(normals))
+    arrangement = GreatCircleArrangement(normals)
     print(count_sphere_regions(arrangement))
     if args.export:
         _write_json(
             args.export,
             {
                 "schema_version": SCHEMA_VERSION,
-                "circles": [[v.x, v.y, v.z] for v in normals],
+                "circles": arrangement.normals.tolist(),
                 "points": points,
             },
         )

@@ -12,13 +12,13 @@ sum over sign patterns.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bloch import UNIT_TOLERANCE, BlochVector, Measurement, uniform_directions
+from .bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
 from .classical import BitString, optimal_classical_probability
 from .errors import CostLimitError
 
@@ -59,10 +59,6 @@ def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return 1.0 - 2.0 * ((values[:, None] >> np.arange(n)) & 1)
 
 
-def _direction_array(measurements: Sequence[Measurement]) -> np.ndarray:
-    return np.array([(m.direction.x, m.direction.y, m.direction.z) for m in measurements])
-
-
 def _norms(vectors: np.ndarray) -> np.ndarray:
     """Lengths over a last axis of size 3, bit-identical to np.linalg.norm.
 
@@ -71,6 +67,25 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     """
     squares = vectors * vectors
     return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
+
+
+def _unit_rows(
+    rows: np.typing.ArrayLike, item: str = "measurement", count: int | None = None
+) -> np.ndarray:
+    """`rows` (an (n, 3) array, nested lists, BlochVectors) as a new read-only float array.
+
+    ValueError unless it holds `count` rows (from one up without it), each
+    within UNIT_TOLERANCE of unit norm, which NaN and infinity never are.
+    """
+    array = np.array(rows, dtype=float)
+    if count is None:
+        count = len(array) if array.ndim else 0
+        if count < 1:
+            raise ValueError(f"need at least one {item}")
+    if array.shape != (count, 3) or not np.abs(_norms(array) - 1.0).max() <= UNIT_TOLERANCE:
+        raise ValueError(f"{item}s must be {count} unit 3-vectors as rows")
+    array.setflags(write=False)
+    return array
 
 
 def probability_from_s_value(s: float, n: int) -> float:
@@ -85,8 +100,6 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     other half needs none: S_x' = -S_x for the complement x' = 2^n - 1 - x.
     """
     n = len(dirs)
-    if n < 1:
-        raise ValueError("need at least one measurement")
     if n > MAX_SIGN_ENUMERATION:
         cost = "sign-pattern enumeration visits 2**(n-1) signed sums"
         raise CostLimitError(cost, "n", n, MAX_SIGN_ENUMERATION)
@@ -112,16 +125,16 @@ def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[BitString, ...
     return 2.0 * half_total, tuple(BitString.from_index(i, n) for i in indices)
 
 
-def s_value(measurements: Sequence[Measurement]) -> float:
+def s_value(measurements: np.typing.ArrayLike) -> float:
     """Total norm of signed direction sums over all 2^n sign patterns.
 
     This single number determines the optimally-encoded average success
     probability; see probability_from_s_value.
     """
-    return _norm_sum_and_neutral(_direction_array(measurements))[0]
+    return _norm_sum_and_neutral(_unit_rows(measurements))[0]
 
 
-def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
+def optimal_encoding(measurements: np.typing.ArrayLike) -> np.ndarray:
     """Best encoding point for every input string: the normalized signed sum.
 
     Returns a read-only (2^n, 3) array in input-index order: row x.index is
@@ -129,7 +142,11 @@ def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
     NEUTRAL_CUTOFF) get the fixed fallback NEUTRAL_FALLBACK; any choice gives
     the same average.
     """
-    dirs = _direction_array(measurements)
+    return _encodings(_unit_rows(measurements))
+
+
+def _encodings(dirs: np.ndarray) -> np.ndarray:
+    """optimal_encoding of directions that _unit_rows has checked."""
     blocks = _signed_sums(dirs)  # guarded before the array below exists
     size = 1 << len(dirs)
     points = np.empty((size, 3))
@@ -140,7 +157,7 @@ def optimal_encoding(measurements: Sequence[Measurement]) -> np.ndarray:
         points[start:stop] = unit
         points[size - stop : size - start] = 0.0 - unit[::-1]  # exact, and no -0.0
         rows = start + np.flatnonzero(neutral)
-        points[rows] = points[size - 1 - rows] = NEUTRAL_FALLBACK.as_array()
+        points[rows] = points[size - 1 - rows] = np.asarray(NEUTRAL_FALLBACK)
     points.setflags(write=False)
     return points
 
@@ -158,30 +175,23 @@ class QracCode:
 
     measurements: np.ndarray
     encodings: np.ndarray
-    #: False adopts float arrays that nothing else holds (optimal_code's) uncopied.
-    _copy: InitVar[bool] = True
+    #: True adopts read-only arrays that are already checked (optimal_code's) as they are.
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self, _copy: bool) -> None:
-        n = len(self.measurements)
-        if n < 1:
-            raise ValueError("need at least one measurement")
-        for name, count in (("measurements", n), ("encodings", 1 << n)):
-            rows = np.array(getattr(self, name), dtype=float, copy=_copy)
-            if rows.shape != (count, 3) or not np.all(
-                np.abs(_norms(rows) - 1.0) <= UNIT_TOLERANCE
-            ):
-                raise ValueError(f"{name} must be {count} unit 3-vectors as rows for n = {n}")
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
+    def __post_init__(self, _checked: bool) -> None:
+        if not _checked:
+            object.__setattr__(self, "measurements", _unit_rows(self.measurements))
+            object.__setattr__(self, "encodings", _unit_rows(self.encodings, "encoding", 1 << self.n))
 
     @property
     def n(self) -> int:
         return len(self.measurements)
 
 
-def optimal_code(measurements: Sequence[Measurement]) -> QracCode:
-    """The code using the given measurements with their best encodings."""
-    return QracCode(_direction_array(measurements), optimal_encoding(measurements), _copy=False)
+def optimal_code(measurements: np.typing.ArrayLike) -> QracCode:
+    """The code using the given directions, (n, 3) unit rows, with their best encodings."""
+    dirs = _unit_rows(measurements)
+    return QracCode(dirs, _encodings(dirs), _checked=True)
 
 
 def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:
@@ -263,18 +273,19 @@ def upper_bound(n: int) -> float:
     return 0.5 + 0.5 / math.sqrt(n)
 
 
-def parallelogram_check(measurements: Sequence[Measurement]) -> bool:
+def parallelogram_check(measurements: np.typing.ArrayLike) -> bool:
     """Verify sum over sign patterns of the squared signed-sum norm equals n*2^n.
 
     The identity holds for any unit vectors because cross terms cancel in
     pairs; this enumerates the left side and compares within
     PARALLELOGRAM_TOLERANCE * 2^n.
     """
-    n = len(measurements)
+    dirs = _unit_rows(measurements)
+    n = len(dirs)
     if n > MAX_PARALLELOGRAM:
         raise CostLimitError("identity check enumerates 2**n terms", "n", n, MAX_PARALLELOGRAM)
     total = 0.0
-    for _, sums, _ in _signed_sums(_direction_array(measurements)):
+    for _, sums, _ in _signed_sums(dirs):
         total += float((sums * sums).sum())
     return abs(2.0 * total - n * (1 << n)) <= PARALLELOGRAM_TOLERANCE * (1 << n)
 

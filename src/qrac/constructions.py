@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, Measurement, state_from_bloch
+from .bloch import BlochVector, state_from_bloch
 from .classical import BitString
-from .codes import QracCode, optimal_code, probability_from_s_value, s_value
+from .codes import QracCode, _encodings, _norm_sum_and_neutral, _unit_rows, probability_from_s_value
 from .errors import CostLimitError
 
 #: Golden ratio; vertex coordinate of the icosahedral solids.
@@ -46,16 +46,16 @@ _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi
 POLYNOMIAL_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedConstruction:
-    """A named measurement set with its known average success probability.
+    """A named set of directions, read-only (n, 3), and its known average success probability.
 
     `expected_probability` is the closed-form value when one is known, or is
     computed from the directions at registration time.
     """
 
     name: str
-    measurements: tuple[BlochVector, ...]
+    measurements: np.ndarray
     expected_probability: float
 
     @property
@@ -147,11 +147,11 @@ def _registry() -> dict[str, NamedConstruction]:
         ("sym15", _icosidodecahedron_axes(), None),
     ]
     registry: dict[str, NamedConstruction] = {}
-    for name, measurements, value in entries:
+    for name, axes, value in entries:
+        dirs = _unit_rows(axes)
         if value is None:
-            s = s_value(tuple(Measurement(v) for v in measurements))
-            value = probability_from_s_value(s, len(measurements))
-        registry[name] = NamedConstruction(name, measurements, value)
+            value = probability_from_s_value(_norm_sum_and_neutral(dirs)[0], len(dirs))
+        registry[name] = NamedConstruction(name, dirs, value)
     return registry
 
 
@@ -173,8 +173,8 @@ def known_construction(name: str) -> NamedConstruction:
 
 def known_code(name: str) -> QracCode:
     """Build the named construction as a full code with optimal encodings."""
-    construction = known_construction(name)
-    return optimal_code(tuple(Measurement(v) for v in construction.measurements))
+    dirs = known_construction(name).measurements
+    return QracCode(dirs, _encodings(dirs), _checked=True)
 
 
 def _signed_permutations(base: tuple[float, float, float]) -> list[BlochVector]:
@@ -224,37 +224,35 @@ def polyhedron_vertices(name: str) -> tuple[BlochVector, ...]:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreatCircleArrangement:
     """Great circles on the unit sphere, one per normal; antipodes identified.
 
-    Building one checks every pair of circles at once, so it is refused with
-    CostLimitError above MAX_CIRCLES circles before anything is allocated.
+    `normals` is a read-only (k, 3) array made from any array-like of unit rows.
+    Building one checks every pair i < j of circles at once, so it is refused
+    with CostLimitError above MAX_CIRCLES circles before any pair is formed;
+    `_pairs` keeps the pairs, row-major, and the unit cross products of their normals.
     """
 
-    normals: tuple[BlochVector, ...]
+    normals: np.ndarray
+    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.normals:
-            raise ValueError("need at least one circle")
-        object.__setattr__(self, "normals", tuple(self.normals))
-        k = len(self.normals)
+        normals = _unit_rows(self.normals, "circle normal")
+        object.__setattr__(self, "normals", normals)
+        k = len(normals)
         if k > MAX_CIRCLES:
             points = k * (k - 1)
             size = f"{points} intersection points ({24 * points} bytes as float64 3-vectors)"
             raise CostLimitError(f"{k} circles meet in {size}", "circles", k, MAX_CIRCLES)
-        first, second, cross = _pair_crosses(self.normals)
-        coincident = np.flatnonzero(np.linalg.norm(cross, axis=1) < COINCIDENT_TOLERANCE)
+        first, second = np.triu_indices(k, 1)
+        cross = np.cross(normals[first], normals[second])
+        lengths = np.linalg.norm(cross, axis=1)
+        coincident = np.flatnonzero(lengths < COINCIDENT_TOLERANCE)
         if coincident.size:
             i, j = first[coincident[0]], second[coincident[0]]
             raise ValueError(f"circles {i + 1} and {j + 1} coincide (parallel normals)")
-
-
-def _pair_crosses(normals: Sequence[BlochVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cross products of every pair i < j of normals, row-major in (i, j)."""
-    arr = np.array([v.as_array() for v in normals])
-    first, second = np.triu_indices(len(arr), 1)
-    return first, second, np.cross(arr[first], arr[second])
+        object.__setattr__(self, "_pairs", (first, second, cross / lengths[:, None]))
 
 
 def _cluster_labels(points: np.ndarray, tolerance: float) -> np.ndarray:
@@ -320,8 +318,7 @@ def count_sphere_regions(arr: GreatCircleArrangement) -> int:
     k = len(arr.normals)
     if k == 1:
         return 2
-    first, second, cross = _pair_crosses(arr.normals)
-    unit = cross / np.linalg.norm(cross, axis=1)[:, None]
+    first, second, unit = arr._pairs
     labels = _cluster_labels(np.concatenate((unit, -unit)), CLUSTER_TOLERANCE)
     vertices = _distinct(labels)
     # each point lies on the two circles of its pair; code (vertex, circle) as one int

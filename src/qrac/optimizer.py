@@ -17,13 +17,12 @@ bit-identical to running the restarts one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
-from .bloch import BlochVector, Measurement, uniform_directions
-from .codes import _CHUNK, NEUTRAL_CUTOFF, _direction_array, _norms, sign_matrix
-from .codes import probability_from_s_value, s_value
+from .bloch import uniform_directions
+from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, sign_matrix
+from .codes import _norm_sum_and_neutral, _unit_rows, probability_from_s_value
 from .errors import CostLimitError
 
 #: Search is limited to this range: each see-saw step costs O(n * 2^n).
@@ -121,10 +120,6 @@ def _seesaw(
     return final_dirs, final_s, steps, converged
 
 
-def _measurements(dirs: np.ndarray) -> tuple[Measurement, ...]:
-    return tuple(Measurement(BlochVector.from_array(row)) for row in dirs)
-
-
 def _check_size(n: int) -> None:
     if n > MAX_OPTIMIZE_N:
         raise CostLimitError("each see-saw step costs O(n*2^n)", "n", n, MAX_OPTIMIZE_N)
@@ -132,7 +127,7 @@ def _check_size(n: int) -> None:
 
 def optimize(
     n: int, config: OptimizerConfig | None = None
-) -> tuple[tuple[Measurement, ...], float, OptimizationReport]:
+) -> tuple[np.ndarray, float, OptimizationReport]:
     """Search for the best n measurement directions from random starts.
 
     Each start is n uniform directions drawn from one seeded generator
@@ -141,10 +136,10 @@ def optimize(
     earliest restart.  The restarts run as one stacked array, in blocks of at
     most codes._CHUNK sign-pattern rows whose starts are drawn just before the
     block runs, in restart order; every trace is bit-identical to running the
-    restarts one at a time.  The returned directions are canonicalized to the
-    upper hemisphere (rows with negative z are negated, which never changes
-    the objective) and rescored, so the returned probability matches the
-    returned directions exactly.
+    restarts one at a time.  The returned directions, a read-only (n, 3)
+    array, are canonicalized to the upper hemisphere (rows with negative z are
+    negated, which never changes the objective) and rescored, so the returned
+    probability matches the returned directions exactly.
     """
     if config is None:
         config = OptimizerConfig()
@@ -167,36 +162,33 @@ def optimize(
         k = int(np.argmax(s_values))  # the first maximum: ties keep the earliest restart
         if s_values[k] > best_s:
             best_dirs, best_s, best_restart = dirs[k], s_values[k], first + k
-    best_dirs[best_dirs[:, 2] < 0.0] *= -1.0
-    measurements = _measurements(best_dirs)
+    best_dirs = np.where(best_dirs[:, 2:] < 0.0, -best_dirs, best_dirs)
+    best_dirs.setflags(write=False)
     report = OptimizationReport(n=n, config=config, traces=tuple(traces), best_restart=best_restart)
-    return measurements, probability_from_s_value(s_value(measurements), n), report
+    return best_dirs, probability_from_s_value(_norm_sum_and_neutral(best_dirs)[0], n), report
 
 
 def polish(
-    measurements: Sequence[Measurement], config: OptimizerConfig | None = None
-) -> tuple[tuple[Measurement, ...], float]:
-    """Refine a given measurement set by the see-saw iteration seeded at the input.
+    measurements: np.typing.ArrayLike, config: OptimizerConfig | None = None
+) -> tuple[np.ndarray, float]:
+    """Refine a direction set, (n, 3) unit rows, by the see-saw seeded at it.
 
-    The input is returned verbatim unless the search improves the norm-sum
-    objective by more than max(tolerance, 1e-12), so an input at a local
-    optimum keeps its frame and a polished set polishes to itself.  Either
-    way the returned probability never falls below the input's by more than
-    1e-12.
+    Returns a read-only (n, 3) array: the checked copy of the input unless the
+    search raises the norm-sum objective by more than max(tolerance, 1e-12), so
+    a local optimum keeps its frame and a polished set polishes to itself.  The
+    returned probability never falls below the input's by more than 1e-12.
     """
     if config is None:
         config = OptimizerConfig()
-    n = len(measurements)
-    if n < 1:
-        raise ValueError("need at least one measurement")
+    dirs = _unit_rows(measurements)
+    n = len(dirs)
     _check_size(n)
-    measurements = tuple(measurements)
     if n == 1:
-        return measurements, 1.0
-    start_s = s_value(measurements)
-    stack, s_values, _, _ = _seesaw(_direction_array(measurements)[None], config)
-    dirs, s = stack[0], float(s_values[0])
-    if s - start_s <= max(config.tolerance, 1e-12):
-        return measurements, probability_from_s_value(start_s, n)
-    polished = _measurements(dirs)
-    return polished, probability_from_s_value(s_value(polished), n)
+        return dirs, 1.0
+    start_s = _norm_sum_and_neutral(dirs)[0]
+    stack, s_values, _, _ = _seesaw(dirs[None], config)
+    if float(s_values[0]) - start_s <= max(config.tolerance, 1e-12):
+        return dirs, probability_from_s_value(start_s, n)
+    polished = stack[0]
+    polished.setflags(write=False)
+    return polished, probability_from_s_value(_norm_sum_and_neutral(polished)[0], n)

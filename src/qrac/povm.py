@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Measurement, QubitState, bloch_from_state, transition_probability
+from .bloch import BlochVector, QubitState, bloch_from_state, transition_probability
 
 #: Validation slack for probability arithmetic.
 PROBABILITY_TOLERANCE = 1e-12
@@ -25,7 +25,7 @@ class Povm2:
 
     a: float
     b: float
-    basis: Measurement
+    basis: BlochVector
 
     def __post_init__(self) -> None:
         for label, value in (("a", self.a), ("b", self.b)):
@@ -57,7 +57,7 @@ class Povm2:
         b = min(1.0, max(0.0, low))
         vector = eigenvectors[:, 1]
         state = QubitState(complex(vector[0]), complex(vector[1]))
-        return cls(a=a, b=b, basis=Measurement(bloch_from_state(state)))
+        return cls(a=a, b=b, basis=bloch_from_state(state))
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class EnhancedMixture:
     c1: float
     c01: float
     c10: float
-    basis: Measurement
+    basis: BlochVector
 
     def __post_init__(self) -> None:
         weights = (("c0", self.c0), ("c1", self.c1), ("c01", self.c01), ("c10", self.c10))
@@ -95,7 +95,7 @@ def povm_outcome_probs(p: Povm2, state: QubitState) -> tuple[float, float]:
     P0 = a*w + b*(1-w) where w is the overlap of the state with the basis
     direction; P1 is its complement.
     """
-    w = transition_probability(bloch_from_state(state), p.basis.direction)
+    w = transition_probability(bloch_from_state(state), p.basis)
     p0 = p.a * w + p.b * (1.0 - w)
     return p0, 1.0 - p0
 
@@ -123,8 +123,8 @@ def mixture_outcome_probs(m: EnhancedMixture, state: QubitState) -> tuple[float,
     outcome probabilities in the mixture's basis, the overlaps of the state
     with the basis direction and its antipode; P1 mirrors it.
     """
-    r, direction = bloch_from_state(state), m.basis.direction
-    p0, p1 = transition_probability(r, direction), transition_probability(r, -direction)
+    r = bloch_from_state(state)
+    p0, p1 = transition_probability(r, m.basis), transition_probability(r, -m.basis)
     out0 = m.c0 + m.c01 * p0 + m.c10 * p1
     out1 = m.c1 + m.c01 * p1 + m.c10 * p0
     return out0, out1

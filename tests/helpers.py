@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import BitString
 from qrac.codes import (
     NEUTRAL_CUTOFF,
@@ -18,9 +18,9 @@ from qrac.codes import (
 from qrac.optimizer import OptimizerConfig, RestartTrace
 
 
-def random_measurements(n: int, rng: np.random.Generator) -> tuple[Measurement, ...]:
-    """n measurements with directions drawn uniformly on the sphere."""
-    return tuple(Measurement(BlochVector.from_array(row)) for row in uniform_directions(n, rng))
+def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, ...]:
+    """n measurement directions drawn uniformly on the sphere."""
+    return tuple(BlochVector.from_array(row) for row in uniform_directions(n, rng))
 
 
 def signed_direction_sum(dirs: np.ndarray, x: BitString) -> np.ndarray:

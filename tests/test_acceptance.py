@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.bloch import BlochVector, uniform_directions
 from qrac.bounds import (
     lattice_walk_distance,
     orthogonal_lower_bound,
@@ -232,7 +232,7 @@ def test_criterion_08_region_counts():
         "sym15": 120,
     }
     for name, count in expected.items():
-        arrangement = GreatCircleArrangement(tuple(known_construction(name).measurements))
+        arrangement = GreatCircleArrangement(known_construction(name).measurements)
         assert count_sphere_regions(arrangement) == count, name
     rng = np.random.default_rng(2024)
     for k in range(1, 9):
@@ -259,7 +259,7 @@ def test_criterion_09_encoding_polynomials():
 
 
 def test_criterion_10_povm_equivalence():
-    z = Measurement(BlochVector(0.0, 0.0, 1.0))
+    z = BlochVector(0.0, 0.0, 1.0)
     fair = decompose_povm(Povm2(a=0.5, b=0.5, basis=z))
     assert (fair.c0, fair.c1, fair.c01, fair.c10) == (0.5, 0.5, 0.0, 0.0)
     projective = decompose_povm(Povm2(a=1.0, b=0.0, basis=z))
@@ -278,7 +278,7 @@ def test_criterion_10_povm_equivalence():
         p = Povm2(
             a=float(values[i, 0]),
             b=float(values[i, 1]),
-            basis=Measurement(BlochVector.from_array(directions[i])),
+            basis=BlochVector.from_array(directions[i]),
         )
         state = state_from_bloch(BlochVector.from_array(states[i]))
         direct = povm_outcome_probs(p, state)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qrac.bloch import (
     BlochVector,
-    Measurement,
     QubitState,
     bloch_from_state,
     state_from_bloch,
@@ -59,7 +58,7 @@ def test_bloch_vector_requires_unit_norm():
 
 def test_negation_and_dot():
     v = BlochVector.normalized(1.0, 2.0, 2.0)
-    assert (-v).as_array() == pytest.approx(-v.as_array())
+    assert np.asarray(-v) == pytest.approx(-np.asarray(v))
     assert v.dot(v) == pytest.approx(1.0)
     assert v.dot(-v) == pytest.approx(-1.0)
 
@@ -83,7 +82,7 @@ def test_round_trip_vector_state_vector(rng):
     for row in uniform_directions(2000, rng):
         r = BlochVector.from_array(row)
         back = bloch_from_state(state_from_bloch(r))
-        assert back.as_array() == pytest.approx(r.as_array(), abs=1e-10)
+        assert np.asarray(back) == pytest.approx(np.asarray(r), abs=1e-10)
 
 
 def test_round_trip_near_south_pole():
@@ -91,8 +90,8 @@ def test_round_trip_near_south_pole():
         x = math.sqrt(max(0.0, 1.0 - z * z))
         r = BlochVector.normalized(x, 0.0, z)
         back = bloch_from_state(state_from_bloch(r))
-        assert back.as_array() == pytest.approx(r.as_array(), abs=1e-4)
-        assert np.linalg.norm(back.as_array()) == pytest.approx(1.0, abs=1e-12)
+        assert np.asarray(back) == pytest.approx(np.asarray(r), abs=1e-4)
+        assert np.linalg.norm(np.asarray(back)) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,7 +102,7 @@ def test_round_trip_near_south_pole():
 def test_round_trip_from_angles(theta, phi):
     r = bloch_from_angles(theta, phi)
     back = bloch_from_state(state_from_bloch(r))
-    assert back.as_array() == pytest.approx(r.as_array(), abs=1e-9)
+    assert np.asarray(back) == pytest.approx(np.asarray(r), abs=1e-9)
 
 
 def test_state_norm_validation():
@@ -155,12 +154,12 @@ def test_outcome_probabilities_clip_to_unit_interval():
 
 
 def test_measurement_basis_states_are_orthogonal():
-    m = Measurement(BlochVector.normalized(1.0, 1.0, 1.0))
-    up, down = state_from_bloch(m.direction), state_from_bloch(-m.direction)
+    m = BlochVector.normalized(1.0, 1.0, 1.0)
+    up, down = state_from_bloch(m), state_from_bloch(-m)
     overlap = np.conj(up.alpha) * down.alpha + np.conj(up.beta) * down.beta
     assert abs(overlap) == pytest.approx(0.0, abs=1e-12)
-    assert bloch_from_state(up).as_array() == pytest.approx(m.direction.as_array(), abs=1e-12)
-    assert bloch_from_state(down).as_array() == pytest.approx(-m.direction.as_array(), abs=1e-12)
+    assert np.asarray(bloch_from_state(up)) == pytest.approx(np.asarray(m), abs=1e-12)
+    assert np.asarray(bloch_from_state(down)) == pytest.approx(-np.asarray(m), abs=1e-12)
 
 
 def test_uniform_directions_shape_and_norms(rng):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qrac.bloch import BlochVector, Measurement
+from qrac.bloch import BlochVector
 from qrac.cli import SCHEMA_VERSION, _vector_from_json, code_document, code_from_document, main
 from qrac.codes import evaluate, optimal_code
 from qrac.constructions import MAX_CIRCLES, known_code, known_construction
@@ -203,12 +203,36 @@ def test_eval_rejects_boolean_schema_version(tmp_path, capsys):
 def test_eval_rejects_boolean_n(tmp_path, capsys):
     # a valid one-bit document, except that n is the JSON literal true
     path = tmp_path / "code.json"
-    document = code_document(optimal_code((Measurement(BlochVector(0.0, 0.0, 1.0)),)))
+    document = code_document(optimal_code((BlochVector(0.0, 0.0, 1.0),)))
     document["n"] = True
     path.write_text(json.dumps(document))
     code, _, err = run(capsys, "code", "eval", "--json", str(path))
     assert code == 2
     assert "n must be a positive integer" in err
+
+
+@pytest.mark.parametrize("metadata", [[], 0, False, "", [1], "x"])
+def test_eval_rejects_non_object_metadata(tmp_path, capsys, metadata):
+    # the falsy ones once loaded as {}
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac2"), name="qrac2")
+    document["metadata"] = metadata
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "code", "eval", "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: metadata must be a JSON object\n"
+
+
+@pytest.mark.parametrize("metadata", [None, "missing"])
+def test_eval_reads_null_or_missing_metadata_as_none(tmp_path, capsys, metadata):
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac2"))
+    if metadata is None:
+        document["metadata"] = None
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "code", "eval", "--json", str(path))
+    assert code == 0
+    assert out.startswith("name: -\n")
 
 
 def test_eval_rejects_malformed_encoding_key(tmp_path, capsys):

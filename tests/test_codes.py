@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import BitString, optimal_classical_probability
 from qrac.codes import (
     MAX_EVALUATE,
@@ -33,9 +33,9 @@ from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
 from helpers import random_measurements, reference_evaluate, signed_direction_sum
 
-X = Measurement(BlochVector(1.0, 0.0, 0.0))
-Y = Measurement(BlochVector(0.0, 1.0, 0.0))
-Z = Measurement(BlochVector(0.0, 0.0, 1.0))
+X = BlochVector(1.0, 0.0, 0.0)
+Y = BlochVector(0.0, 1.0, 0.0)
+Z = BlochVector(0.0, 0.0, 1.0)
 XYZ = np.eye(3)  # the same three directions as rows
 
 
@@ -88,7 +88,7 @@ def test_neutral_string_gets_fallback_vector():
     neutrals = evaluate(optimal_code(ms)).neutral_strings
     assert BitString.from_text("0101") in neutrals
     enc = optimal_encoding(ms)
-    assert np.array_equal(enc[BitString.from_text("0101").index], NEUTRAL_FALLBACK.as_array())
+    assert np.array_equal(enc[BitString.from_text("0101").index], np.asarray(NEUTRAL_FALLBACK))
 
 
 def test_s_value_single_measurement():
@@ -136,9 +136,7 @@ def test_s_value_rotation_invariant(rng):
         n = int(rng.integers(2, 7))
         ms = random_measurements(n, rng)
         rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
-        rotated = tuple(
-            Measurement(BlochVector.normalized(*(rot @ m.direction.as_array()))) for m in ms
-        )
+        rotated = tuple(BlochVector.normalized(*(rot @ np.asarray(m))) for m in ms)
         assert s_value(rotated) == pytest.approx(s_value(ms), abs=1e-9)
 
 
@@ -345,7 +343,7 @@ def test_comparison_scan_classical_reference():
 
 
 @st.composite
-def direction_sets(draw) -> tuple[Measurement, ...]:
+def direction_sets(draw) -> tuple[BlochVector, ...]:
     """1..10 directions: random, coordinate axes, repeats and antipodes of earlier ones.
 
     Repeats and antipodes make signed sums cancel, so neutral strings and
@@ -364,13 +362,13 @@ def direction_sets(draw) -> tuple[Measurement, ...]:
         else:
             earlier = rows[draw(st.integers(0, i - 1))]
             rows.append(earlier if kind == "repeat" else -earlier)
-    return tuple(Measurement(BlochVector.from_array(row)) for row in rows)
+    return tuple(BlochVector.from_array(row) for row in rows)
 
 
 def _per_string_reference(ms):
     """Encodings, neutral strings and norm sum, one input string at a time."""
     n = len(ms)
-    dirs = np.array([m.direction.as_array() for m in ms])
+    dirs = np.array([np.asarray(m) for m in ms])
     points, neutral, total = [], [], 0.0
     for index in range(1 << n):
         x = BitString.from_index(index, n)
@@ -379,7 +377,7 @@ def _per_string_reference(ms):
         total += norm
         if norm < NEUTRAL_CUTOFF:
             neutral.append(x)
-            points.append(NEUTRAL_FALLBACK.as_array())
+            points.append(np.asarray(NEUTRAL_FALLBACK))
         else:
             points.append(v / norm)
     return np.array(points), tuple(neutral), total

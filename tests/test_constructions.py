@@ -102,7 +102,7 @@ def test_construction_sizes():
 
 def test_measurement_directions_are_unit_and_distinct_where_expected():
     for name in ("qrac2", "qrac3", "qrac5", "qrac6", "sym4", "sym6", "sym9", "sym15"):
-        dirs = [m.as_array() for m in known_construction(name).measurements]
+        dirs = known_construction(name).measurements
         for i, a in enumerate(dirs):
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
             for b in dirs[i + 1 :]:
@@ -193,7 +193,7 @@ def test_polyhedron_vertex_counts():
 
 def test_polyhedron_vertices_unit_and_distinct():
     for name in polyhedron_names():
-        vertices = [v.as_array() for v in polyhedron_vertices(name)]
+        vertices = [np.asarray(v) for v in polyhedron_vertices(name)]
         for i, a in enumerate(vertices):
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
             for b in vertices[i + 1 :]:
@@ -214,7 +214,7 @@ def test_polyhedron_name_normalization():
 def test_truncated_cube_coordinates():
     # vertices are the normalized permutations of (±1, ±3, ±3)
     fields = {
-        tuple(np.round(v.as_array() * math.sqrt(19), 6)) for v in polyhedron_vertices("truncated_cube")
+        tuple(np.round(np.asarray(v) * math.sqrt(19), 6)) for v in polyhedron_vertices("truncated_cube")
     }
     assert (1.0, 3.0, 3.0) in fields and (-3.0, 1.0, -3.0) in fields
 
@@ -226,7 +226,7 @@ def _vertex_histogram(name: str) -> dict[str, dict[int, int]]:
     """Map each string's direction onto the classified polyhedron's vertices."""
     construction = known_construction(name)
     vertex_sets = {
-        tag: np.array([v.as_array() for v in polyhedron_vertices(tag)])
+        tag: np.array([np.asarray(v) for v in polyhedron_vertices(tag)])
         for tag in polyhedron_names()
     }
     histogram: dict[str, dict[int, int]] = {}
@@ -297,7 +297,7 @@ def test_region_counts_for_named_sets():
     }
     for name, count in expected.items():
         normals = known_construction(name).measurements
-        arrangement = GreatCircleArrangement(normals=tuple(normals))
+        arrangement = GreatCircleArrangement(normals=normals)
         assert count_sphere_regions(arrangement) == count, name
 
 
@@ -394,8 +394,8 @@ def test_region_count_matches_reference_on_polyhedral_axes(rng):
     pool: list[np.ndarray] = []
     for name in polyhedron_names():
         for v in polyhedron_vertices(name):
-            if all(np.linalg.norm(np.cross(v.as_array(), a)) > 1e-6 for a in pool):
-                pool.append(v.as_array())
+            if all(np.linalg.norm(np.cross(np.asarray(v), a)) > 1e-6 for a in pool):
+                pool.append(np.asarray(v))
     axes = np.array(pool)
     for _ in range(40):
         rows = axes[rng.choice(len(axes), size=int(rng.integers(2, 31)), replace=False)]
@@ -534,7 +534,8 @@ def test_measurement_basis_polynomial_qrac6():
     from qrac.bloch import state_from_bloch
 
     coeffs = [1, 0, 0, 0, -44, 0, 0, 0, -128, 0, 0, 0, 256]
-    for m in known_construction("qrac6").measurements:
+    for row in known_construction("qrac6").measurements:
+        m = BlochVector.from_array(row)
         for direction in (m, -m):
             beta = state_from_bloch(direction).beta
             value = 0j

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrac.bloch import BlochVector, Measurement
+from qrac.bloch import BlochVector
 from qrac.bounds import MAX_LATTICE_WALK, lattice_walk_distance
 from qrac.classical import (
     MAX_BRUTE_FORCE,
@@ -38,7 +38,7 @@ from qrac.optimizer import MAX_OPTIMIZE_N, OptimizerConfig, optimize
 from qrac.sim import MAX_CELL_TRIALS, simulate_code
 
 NORTH = np.array([0.0, 0.0, 1.0])
-Z = Measurement(BlochVector(*NORTH))
+Z = BlochVector(*NORTH)
 
 
 def _cli_handler(*argv: str) -> None:
@@ -49,6 +49,7 @@ def _cli_handler(*argv: str) -> None:
 #: (guard, call above its limit, requested, limit)
 GUARDS = [
     ("sign-enumeration", lambda: s_value((Z,) * 25), 25, MAX_SIGN_ENUMERATION),
+    ("sign-enumeration-array", lambda: s_value(np.tile(NORTH, (25, 1))), 25, MAX_SIGN_ENUMERATION),
     (
         "evaluate",
         lambda: evaluate(QracCode(np.tile(NORTH, (19, 1)), np.tile(NORTH, (1 << 19, 1)))),

@@ -13,7 +13,7 @@ import pytest
 
 import qrac
 from qrac import optimizer
-from qrac.bloch import BlochVector, Measurement, uniform_directions
+from qrac.bloch import BlochVector, uniform_directions
 from qrac.bounds import orthogonal_lower_bound
 from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, sign_matrix, upper_bound
 from qrac.constructions import known_construction
@@ -57,7 +57,7 @@ def test_determinism_bitwise():
     ms_b, p_b, report_b = optimize(3, config)
     assert p_a == p_b
     assert all(
-        x.direction.as_array().tobytes() == y.direction.as_array().tobytes()
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
         for x, y in zip(ms_a, ms_b)
     )
     assert report_a.traces == report_b.traces
@@ -93,8 +93,8 @@ def test_returned_probability_is_consistent_with_evaluate():
 def test_directions_are_unit_and_preferred_hemisphere():
     measurements, _, _ = optimize(4, OptimizerConfig(restarts=3, seed=9))
     for m in measurements:
-        assert np.linalg.norm(m.direction.as_array()) == pytest.approx(1.0, abs=1e-12)
-        assert m.direction.z >= -1e-12
+        assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
+        assert m[2] >= -1e-12
 
 
 def test_matches_orthogonal_bound_for_special_sizes():
@@ -118,18 +118,14 @@ def test_quality_small_case_with_few_restarts():
 
 def test_polish_keeps_an_already_optimal_set():
     measurements = known_construction("qrac3").measurements
-    wrapped = tuple(Measurement(v) for v in measurements)
-    polished, probability = polish(wrapped)
+    polished, probability = polish(measurements)
     assert probability == pytest.approx(0.7886751, abs=1e-6)
-    for before, after in zip(wrapped, polished):
-        assert after.direction.as_array() == pytest.approx(
-            before.direction.as_array(), abs=1e-6
-        )
+    for before, after in zip(measurements, polished):
+        assert after == pytest.approx(before, abs=1e-6)
 
 
 def test_polish_reproduces_qrac6_value():
-    wrapped = tuple(Measurement(v) for v in known_construction("qrac6").measurements)
-    _, probability = polish(wrapped)
+    _, probability = polish(known_construction("qrac6").measurements)
     assert probability == pytest.approx(0.6940464, abs=1e-6)
 
 
@@ -142,28 +138,26 @@ def test_polish_is_monotone(rng):
             assert after >= before - 1e-12
             assert after == pytest.approx(evaluate(optimal_code(polished)).average, abs=1e-10)
             # the see-saw output is a fixed point: polishing again changes nothing
-            assert polish(polished) == (polished, after)
+            again, again_after = polish(polished)
+            assert np.array_equal(again, polished) and again_after == after
 
 
 def test_polish_single_measurement_is_trivial():
-    z = (Measurement(BlochVector(0.0, 0.0, 1.0)),)
+    z = (BlochVector(0.0, 0.0, 1.0),)
     polished, probability = polish(z)
-    assert polished == z
+    assert np.array_equal(polished, z)
     assert probability == 1.0
 
 
 def test_polish_cost_guard():
-    wrapped = tuple(Measurement(v) for v in known_construction("sym15").measurements)
     with pytest.raises(CostLimitError):
-        polish(wrapped)
+        polish(known_construction("sym15").measurements)
 
 
 def test_polish_improves_a_perturbed_set(rng):
     # nudge qrac4 off its optimum; polishing must recover most of the loss
-    base = [v.as_array() for v in known_construction("qrac4").measurements]
-    noisy = tuple(
-        Measurement(BlochVector.normalized(*(v + 0.05 * rng.normal(size=3)))) for v in base
-    )
+    base = [np.asarray(v) for v in known_construction("qrac4").measurements]
+    noisy = tuple(BlochVector.normalized(*(v + 0.05 * rng.normal(size=3))) for v in base)
     start = evaluate(optimal_code(noisy)).average
     _, after = polish(noisy)
     target = known_construction("qrac4").expected_probability
@@ -235,7 +229,7 @@ def test_optimize_matches_reference_restart_loop(n):
     assert report.best_restart == max(traces, key=lambda t: t.s_value).restart
     best_dirs = best_dirs.copy()
     best_dirs[best_dirs[:, 2] < 0.0] *= -1.0
-    assert np.array_equal(np.array([m.direction.as_array() for m in measurements]), best_dirs)
+    assert np.array_equal(measurements, best_dirs)
 
 
 def test_restart_blocks_bound_memory_and_keep_traces(monkeypatch):

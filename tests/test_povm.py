@@ -9,7 +9,6 @@ import pytest
 
 from qrac.bloch import (
     BlochVector,
-    Measurement,
     state_from_bloch,
     transition_probability,
     uniform_directions,
@@ -24,7 +23,7 @@ from qrac.povm import (
 
 from helpers import bloch_from_angles
 
-Z = Measurement(BlochVector(0.0, 0.0, 1.0))
+Z = BlochVector(0.0, 0.0, 1.0)
 
 
 def random_states(count: int, rng: np.random.Generator):
@@ -41,7 +40,7 @@ def test_povm_validation():
 
 def test_projective_case():
     p = Povm2(a=1.0, b=0.0, basis=Z)
-    up, down = state_from_bloch(Z.direction), state_from_bloch(-Z.direction)
+    up, down = state_from_bloch(Z), state_from_bloch(-Z)
     assert povm_outcome_probs(p, up) == pytest.approx((1.0, 0.0), abs=1e-15)
     assert povm_outcome_probs(p, down) == pytest.approx((0.0, 1.0), abs=1e-15)
 
@@ -59,7 +58,7 @@ def test_constant_output_case(rng):
 
 
 def test_outcomes_sum_to_one(rng):
-    p = Povm2(a=0.3, b=0.8, basis=Measurement(BlochVector.normalized(1.0, 2.0, -1.0)))
+    p = Povm2(a=0.3, b=0.8, basis=BlochVector.normalized(1.0, 2.0, -1.0))
     for state in random_states(50, rng):
         p0, p1 = povm_outcome_probs(p, state)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-14)
@@ -112,14 +111,14 @@ def test_equator_worked_example():
 
 
 def test_projective_decomposition_matches_orthogonal_measurement(rng):
-    basis = Measurement(BlochVector.normalized(1.0, -1.0, 0.5))
+    basis = BlochVector.normalized(1.0, -1.0, 0.5)
     mixture = decompose_povm(Povm2(a=1.0, b=0.0, basis=basis))
     for row in uniform_directions(1000, rng):
         r = BlochVector.from_array(row)
         state = state_from_bloch(r)
         expected = (
-            transition_probability(r, basis.direction),
-            transition_probability(r, -basis.direction),
+            transition_probability(r, basis),
+            transition_probability(r, -basis),
         )
         assert mixture_outcome_probs(mixture, state) == pytest.approx(expected, abs=1e-12)
 
@@ -128,7 +127,7 @@ def test_simulation_is_exact(rng):
     # the mixture reproduces the POVM on every state, not just on average
     for _ in range(2000):
         a, b = rng.uniform(0, 1, 2)
-        basis = Measurement(BlochVector.from_array(uniform_directions(1, rng)[0]))
+        basis = BlochVector.from_array(uniform_directions(1, rng)[0])
         p = Povm2(a=float(a), b=float(b), basis=basis)
         mixture = decompose_povm(p)
         state = random_states(1, rng)[0]
@@ -153,8 +152,7 @@ def test_from_matrix_round_trip(rng):
     for _ in range(100):
         a, b = rng.uniform(0, 1, 2)
         direction = BlochVector.from_array(uniform_directions(1, rng)[0])
-        basis = Measurement(direction)
-        p = Povm2(a=float(a), b=float(b), basis=basis)
+        p = Povm2(a=float(a), b=float(b), basis=direction)
         up, down = state_from_bloch(direction), state_from_bloch(-direction)
         up_vec = np.array([up.alpha, up.beta])
         down_vec = np.array([down.alpha, down.beta])

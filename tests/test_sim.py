@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qrac import sim
-from qrac.bloch import BlochVector, Measurement
+from qrac.bloch import BlochVector
 from qrac.codes import QracCode, evaluate, optimal_code
 from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
@@ -17,8 +17,8 @@ from qrac.sim import MAX_CELL_TRIALS, SimReport, simulate_code
 
 from helpers import random_measurements, reference_plain_p0, reference_simulate_code
 
-X = Measurement(BlochVector(1.0, 0.0, 0.0))
-Z = Measurement(BlochVector(0.0, 0.0, 1.0))
+X = BlochVector(1.0, 0.0, 0.0)
+Z = BlochVector(0.0, 0.0, 1.0)
 
 
 def test_single_bit_code_is_perfect():
