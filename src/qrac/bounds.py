@@ -7,10 +7,14 @@ direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate and a closed-form asymptote;
 axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
+The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
+by its mirror multiplicity; power-of-two scaling is exact, so the correctly
+rounded sum is bit for bit the unfolded one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +27,10 @@ from .errors import CostLimitError
 ASYMPTOTIC_VALID_FROM = 4
 
 #: Hard guard on the total step count of the exact lattice walk.  The
-#: binomial weight products are at most 2^n and must stay exact in int64,
-#: and the walk sums (x+1)(y+1)(z+1) terms, about n^3/27 for an even split.
+#: weights must stay exact in int64: a folded weight is a multiplicity times
+#: a binomial product, and it counts that many equal terms among the 2^n
+#: sign patterns, so it is at most 2^n <= 2^60 < 2^63.  The walk sums
+#: (x//2+1)(y//2+1)(z//2+1) folded terms, about n^3/216 for an even split.
 MAX_LATTICE_WALK = 60
 
 #: Monte Carlo trials are processed in blocks of this many rows.
@@ -60,6 +66,12 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     (uniform in [0, 2*pi)).  The reported std_error is the sample standard
     deviation (ddof = 1) divided by sqrt(trials).  For n = 1 every distance
     is exactly 1, so the estimate is exact and no randomness is consumed.
+
+    The coordinate sums are bit for bit those of `.sum(axis=1)` on each
+    block: below n = 8 numpy adds a row left to right, which one vector add
+    per column repeats without a reduction call per row; from n = 8 on it
+    splits a row over eight accumulators, so `.sum(axis=1)` is kept there.
+    The lengths are sqrt((x^2 + y^2) + z^2), np.linalg.norm's order.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -70,22 +82,11 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     rng = np.random.Generator(np.random.Philox(key=seed))
     total = 0.0
     total_sq = 0.0
+    steps = np.empty((min(_CHUNK, trials), n))
     for start in range(0, trials, _CHUNK):
-        rows = min(_CHUNK, trials - start)
-        z = rng.uniform(-1.0, 1.0, size=(rows, n))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        endpoint = np.stack(
-            (
-                (rho * np.cos(phi)).sum(axis=1),
-                (rho * np.sin(phi)).sum(axis=1),
-                z.sum(axis=1),
-            ),
-            axis=1,
-        )
-        distances = np.linalg.norm(endpoint, axis=1)
-        total += float(distances.sum())
-        total_sq += float((distances * distances).sum())
+        block_total, block_sq = _walk_block(rng, steps[: min(_CHUNK, trials - start)])
+        total += block_total
+        total_sq += block_sq
     mean = total / trials
     if trials > 1:
         variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -93,6 +94,43 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     else:
         std_error = 0.0
     return WalkEstimate(n=n, mean_distance=mean, std_error=std_error, trials=trials, seed=seed)
+
+
+def _walk_block(rng: np.random.Generator, steps: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of the lengths of len(steps) walks of n steps.
+
+    `steps` is a (rows, n) scratch buffer; the draws are reused in place, so
+    a block holds three (rows, n) arrays and is freed on return.
+    """
+    rows, n = steps.shape
+    z = rng.uniform(-1.0, 1.0, size=(rows, n))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))
+    sum_z = _row_sums(z)
+    rho = np.multiply(z, z, out=z)
+    np.subtract(1.0, rho, out=rho)
+    np.maximum(0.0, rho, out=rho)
+    np.sqrt(rho, out=rho)
+    np.cos(phi, out=steps)
+    steps *= rho
+    sum_x = _row_sums(steps)
+    np.sin(phi, out=steps)
+    steps *= rho
+    sum_y = _row_sums(steps)
+    lengths = np.multiply(sum_x, sum_x, out=sum_x)
+    lengths += np.multiply(sum_y, sum_y, out=sum_y)
+    lengths += np.multiply(sum_z, sum_z, out=sum_z)
+    np.sqrt(lengths, out=lengths)
+    return float(lengths.sum()), float(np.multiply(lengths, lengths, out=sum_y).sum())
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a (rows, n >= 2) array, bit for bit those of a.sum(axis=1)."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = a[:, 0] + a[:, 1]
+    for column in range(2, a.shape[1]):
+        total += a[:, column]
+    return total
 
 
 def random_lower_bound_asymptotic(n: int) -> float:
@@ -107,16 +145,34 @@ def random_lower_bound_asymptotic(n: int) -> float:
     return 0.5 + math.sqrt(2.0 / (3.0 * math.pi * n))
 
 
+@functools.lru_cache(maxsize=MAX_LATTICE_WALK + 1)
+def _axis_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folded (weights, squared offsets) of one axis with m steps.
+
+    Entry i <= m/2 stands for i and m - i negative steps: its weight is
+    comb(m, i) times 2, or times 1 at the middle of an even axis, and its
+    squared offset is (m - 2i)^2.  Read-only, since every caller shares it.
+    """
+    count = np.arange(m // 2 + 1, dtype=np.int64)
+    weights = np.array([math.comb(m, i) for i in range(m // 2 + 1)], dtype=np.int64)
+    weights[2 * count < m] *= 2
+    squared = (m - 2 * count) ** 2
+    weights.flags.writeable = False
+    squared.flags.writeable = False
+    return weights, squared
+
+
 def lattice_walk_distance(x: int, y: int, z: int) -> float:
     """Exact mean endpoint distance of a walk with x, y, z axis-aligned steps.
 
     Each step goes one unit along its axis with a uniform random sign, so the
     endpoint after i of the x-steps were negative (and similarly j, k) is
     (x-2i, y-2j, z-2k), weighted by the product of binomials over 2^(x+y+z).
-    The weight products are exact int64 integers (at most 2^n); each term is
-    one rounding of weight * sqrt(squared distance), and math.fsum adds the
-    terms with a single final rounding, so the result does not depend on
-    the order of the terms.
+    Folded, i, j, k run to half their axis and each weight counts its
+    mirror images (_axis_terms).  The weights are exact int64 integers (at
+    most 2^n); each term is one rounding of weight * sqrt(squared distance),
+    a power-of-two multiple of the unfolded term, exactly.  math.fsum adds
+    the terms with one final rounding, so the result is the unfolded sum's.
     """
     if min(x, y, z) < 0:
         raise ValueError(f"step counts must be nonnegative, got ({x}, {y}, {z})")
@@ -127,11 +183,8 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
         terms = (x + 1) * (y + 1) * (z + 1)
         cost = f"lattice walk of {n} steps sums {terms} terms with int64 weights up to 2**{n}"
         raise CostLimitError(cost, "x + y + z", n, MAX_LATTICE_WALK)
-    bx, by, bz = (
-        np.array([math.comb(m, i) for i in range(m + 1)], dtype=np.int64) for m in (x, y, z)
-    )
-    dx, dy, dz = ((m - 2 * np.arange(m + 1, dtype=np.int64)) ** 2 for m in (x, y, z))
-    weights = bx[:, None, None] * by[None, :, None] * bz[None, None, :]
+    (wx, dx), (wy, dy), (wz, dz) = (_axis_terms(m) for m in (x, y, z))
+    weights = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
     squared = dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
     terms = weights * np.sqrt(squared)
     return math.fsum(terms.ravel().tolist()) / (1 << n)

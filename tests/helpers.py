@@ -128,6 +128,58 @@ def reference_lattice_walk_distance(x: int, y: int, z: int) -> float:
     return math.fsum(terms) / (1 << (x + y + z))
 
 
+def dense_lattice_walk_distance(x: int, y: int, z: int) -> float:
+    """The unfolded array sum that the folded lattice_walk_distance replaced.
+
+    All (x+1)(y+1)(z+1) terms, one int64 binomial product times sqrt of the
+    squared distance each, added by math.fsum.
+    """
+    bx, by, bz = (
+        np.array([math.comb(m, i) for i in range(m + 1)], dtype=np.int64) for m in (x, y, z)
+    )
+    dx, dy, dz = ((m - 2 * np.arange(m + 1, dtype=np.int64)) ** 2 for m in (x, y, z))
+    weights = bx[:, None, None] * by[None, :, None] * bz[None, None, :]
+    squared = dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
+    terms = weights * np.sqrt(squared)
+    return math.fsum(terms.ravel().tolist()) / (1 << (x + y + z))
+
+
+def reference_random_walk_distance_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
+    """The row-reducing loop that the column-summed random_walk_distance_mc replaced.
+
+    Returns (mean_distance, std_error) for n >= 1 and trials >= 1.  Trials
+    run in blocks of 2^18 rows, each drawing its z coordinates and then its
+    azimuths.
+    """
+    block = 1 << 18
+    if n == 1:
+        return 1.0, 0.0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    total = 0.0
+    total_sq = 0.0
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        z = rng.uniform(-1.0, 1.0, size=(rows, n))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))
+        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        endpoint = np.stack(
+            (
+                (rho * np.cos(phi)).sum(axis=1),
+                (rho * np.sin(phi)).sum(axis=1),
+                z.sum(axis=1),
+            ),
+            axis=1,
+        )
+        distances = np.linalg.norm(endpoint, axis=1)
+        total += float(distances.sum())
+        total_sq += float((distances * distances).sum())
+    mean = total / trials
+    if trials > 1:
+        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        return mean, math.sqrt(variance / trials)
+    return mean, 0.0
+
+
 def reference_uniform_shifts(rng: np.random.Generator, n: int, trials: int) -> np.ndarray:
     """Uniform draws from 0..n-1 by rejection from power-of-two blocks.
 

@@ -11,6 +11,7 @@ from qrac.bounds import (
     ASYMPTOTIC_VALID_FROM,
     MAX_LATTICE_WALK,
     WalkEstimate,
+    _axis_terms,
     best_axis_split,
     lattice_walk_distance,
     orthogonal_lower_bound,
@@ -20,7 +21,11 @@ from qrac.bounds import (
 from qrac.codes import upper_bound
 from qrac.errors import CostLimitError
 
-from helpers import reference_lattice_walk_distance
+from helpers import (
+    dense_lattice_walk_distance,
+    reference_lattice_walk_distance,
+    reference_random_walk_distance_mc,
+)
 
 TABLE_ASYMPTOTIC = {
     2: 0.825735,
@@ -110,6 +115,18 @@ def test_mc_validation():
         random_walk_distance_mc(2, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 2**62 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 12])
+def test_mc_matches_row_reducing_reference_bitwise(n, seed):
+    # n = 1 is the early return; 7 and 8 straddle the switch from the column
+    # loop to numpy's row reduction; the trial counts cover one trial and
+    # both sides of the block edge
+    for trials in (1, 7, 2**18, 2**18 + 1, 300_001):
+        estimate = random_walk_distance_mc(n, trials, seed)
+        expected = reference_random_walk_distance_mc(n, trials, seed)
+        assert (estimate.mean_distance, estimate.std_error) == expected, (n, trials, seed)
+
+
 def test_asymptotic_formula_values():
     for n, expected in TABLE_ASYMPTOTIC.items():
         assert random_lower_bound_asymptotic(n) == pytest.approx(expected, abs=1e-6)
@@ -155,6 +172,45 @@ def test_lattice_walk_matches_reference_bitwise():
             for y in range(n - x + 1):
                 z = n - x - y
                 assert lattice_walk_distance(x, y, z) == reference_lattice_walk_distance(x, y, z)
+
+
+def test_folded_lattice_walk_matches_dense_bitwise():
+    # int64 overflow would wrap silently, so every split up to the guard is
+    # compared exactly, permutations included; the extremes carry the largest
+    # multiplicity x weight products
+    for split in [(60, 0, 0), (0, 0, 60), (30, 30, 0), (20, 20, 20)]:
+        assert lattice_walk_distance(*split) == dense_lattice_walk_distance(*split), split
+    # the dense sum rounds the same multiset of terms for every permutation
+    # of a split, so it is computed once per sorted split
+    dense: dict[tuple[int, ...], float] = {}
+    calls = 0
+    for n in range(1, MAX_LATTICE_WALK + 1):
+        for x in range(n + 1):
+            for y in range(n - x + 1):
+                split = (x, y, n - x - y)
+                key = tuple(sorted(split))
+                if key not in dense:
+                    dense[key] = dense_lattice_walk_distance(*key)
+                assert lattice_walk_distance(*split) == dense[key], split
+                calls += 1
+    assert calls == 39_710
+
+
+def test_axis_terms_cache_is_bounded_and_read_only():
+    for n in range(1, MAX_LATTICE_WALK + 1):
+        best_axis_split(n)
+    size = _axis_terms.cache_info().currsize
+    assert size <= MAX_LATTICE_WALK + 1
+    for m in (0, 1, 2, 31, MAX_LATTICE_WALK):
+        for table in _axis_terms(m):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+    # the guard refuses before any table is built
+    size = _axis_terms.cache_info().currsize
+    with pytest.raises(CostLimitError):
+        lattice_walk_distance(MAX_LATTICE_WALK + 1, 0, 0)
+    assert _axis_terms.cache_info().currsize == size
 
 
 def test_axis_bounds_match_reference_bitwise():
