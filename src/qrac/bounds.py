@@ -180,7 +180,7 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     if n < 1:
         raise ValueError("need at least one step")
     if n > MAX_LATTICE_WALK:
-        terms = (x + 1) * (y + 1) * (z + 1)
+        terms = (x // 2 + 1) * (y // 2 + 1) * (z // 2 + 1)  # the folded walk's
         cost = f"lattice walk of {n} steps sums {terms} terms with int64 weights up to 2**{n}"
         raise CostLimitError(cost, "x + y + z", n, MAX_LATTICE_WALK)
     (wx, dx), (wy, dy), (wz, dz) = (_axis_terms(m) for m in (x, y, z))

@@ -48,51 +48,6 @@ DECODERS = (DECODER_CONSTANT_0, DECODER_CONSTANT_1, DECODER_IDENTITY, DECODER_NE
 
 
 @dataclass(frozen=True)
-class BitString:
-    """An n-bit string; position 1 is written leftmost in text form.
-
-    The integer index packs position i into bit i-1 of the value, so
-    from_index(6, n=4) has positions 2 and 3 set and text form "0110".
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits:
-            raise ValueError("bit string must be non-empty")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
-
-    @classmethod
-    def from_index(cls, value: int, n: int) -> BitString:
-        if n < 1:
-            raise ValueError(f"length must be at least 1, got {n}")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"index {value} out of range for {n} bits")
-        return cls(tuple((value >> i) & 1 for i in range(n)))
-
-    @classmethod
-    def from_text(cls, text: str) -> BitString:
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"expected a non-empty string of 0s and 1s, got {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @property
-    def index(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    @property
-    def text(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-
-@dataclass(frozen=True)
 class PureClassicalStrategy:
     """A deterministic strategy: an encoding table and one decoder per position.
 

@@ -27,7 +27,7 @@ from .classical import (
     classical_bounds,
     optimal_classical_probability,
 )
-from .codes import CodeReport, QracCode, _norms, evaluate, optimal_code, upper_bound
+from .codes import CodeReport, QracCode, _norms, bit_text, evaluate, optimal_code, upper_bound
 from .constructions import (
     GreatCircleArrangement,
     construction_names,
@@ -63,10 +63,7 @@ def code_document(
         "schema_version": SCHEMA_VERSION,
         "n": code.n,
         "measurements": code.measurements.tolist(),
-        "encodings": {  # the key of index i is its n-bit binary form, reversed
-            format(i, f"0{code.n}b")[::-1]: row
-            for i, row in enumerate(code.encodings.tolist())
-        },
+        "encodings": {bit_text(i, code.n): row for i, row in enumerate(code.encodings.tolist())},
     }
     metadata: dict = {}
     if name is not None:
@@ -127,8 +124,28 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
     return rows
 
 
+def _key_indices(keys: list[str], n: int) -> np.ndarray:
+    """The row index of every encoding key, parsed as one array (the inverse of bit_text).
+
+    ValueError names the first key, in the given order, that is not n characters 0 or 1.
+    """
+    wrong = np.flatnonzero(np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) != n)
+    whole = int(wrong[0]) if len(wrong) else len(keys)  # the keys before it have n characters
+    # one byte per character; "replace" makes a non-ASCII one "?", which fails the check
+    chars = np.frombuffer("".join(keys[:whole]).encode("ascii", "replace"), dtype=np.uint8)
+    bits = chars - ord("0")  # a wrapped uint8: 0 and 1 only for "0" and "1"
+    bad = (np.flatnonzero(bits > 1)[:1] // n).tolist() + wrong[:1].tolist()
+    if bad:
+        raise ValueError(f"encoding key {keys[bad[0]]!r} is not a string of {n} bits")
+    return sum(bits[i::n].astype(np.int64) << i for i in range(n))
+
+
 def code_from_document(document: dict) -> tuple[QracCode, dict]:
-    """Rebuild a code from its JSON form; returns (code, metadata)."""
+    """Rebuild a code from its JSON form; returns (code, metadata).
+
+    The encoding keys may come in any order.  The first malformed key or
+    row in document order is the one a ValueError names.
+    """
     if not isinstance(document, dict):
         raise ValueError("code document must be a JSON object")
     version = document.get("schema_version")
@@ -146,17 +163,18 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     measurements = [
         _vector_from_json(raw, f"measurement {i + 1}") for i, raw in enumerate(measurements_raw)
     ]
-    points = np.empty((1 << n, 3))
+    keys = list(encodings_raw)
     rows = _bulk_unit_rows(encodings_raw)
-    indices = []
-    for key, raw in encodings_raw.items():
-        if len(key) != n or key.strip("01"):
-            raise ValueError(f"encoding key {key!r} is not a string of {n} bits")
-        indices.append(int(key[::-1], 2))
-        if rows is None:
-            points[indices[-1]] = _vector_from_json(raw, f"encoding {key!r}")
-    if rows is not None:
-        points[indices] = rows
+    if rows is None:  # row by row: the first bad row is named, unless a bad key comes first
+        rows = np.empty((1 << n, 3))
+        for position, (key, raw) in enumerate(encodings_raw.items()):
+            try:
+                rows[position] = _vector_from_json(raw, f"encoding {key!r}")
+            except ValueError:
+                _key_indices(keys[: position + 1], n)
+                raise
+    points = np.empty((1 << n, 3))
+    points[_key_indices(keys, n)] = rows
     metadata = {} if document.get("metadata") is None else document["metadata"]
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
@@ -175,7 +193,7 @@ def _write_json(path: str, document: dict) -> None:
 
 
 def _print_code_report(name: str | None, code: QracCode, report: CodeReport) -> None:
-    neutral = ", ".join(x.text for x in report.neutral_strings) or "(none)"
+    neutral = ", ".join(report.neutral_strings) or "(none)"
     print(f"name: {name if name else '-'}")
     print(f"n: {code.n}")
     print(f"average: {_format_probability(report.average)}")
@@ -307,7 +325,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
             {"label": f"v{i + 1}", "vec": row, "kind": "measurement"}
             for i, row in enumerate(normals.tolist())
         ] + [
-            {"label": format(i, f"0{code.n}b")[::-1], "vec": row, "kind": "encoding"}
+            {"label": bit_text(i, code.n), "vec": row, "kind": "encoding"}
             for i, row in enumerate(code.encodings.tolist())
         ]
     else:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
-from .classical import BitString, optimal_classical_probability
+from .classical import optimal_classical_probability
 from .errors import CostLimitError
 
 #: Signed sums with norm below this are treated as zero: the input string is
@@ -113,7 +113,12 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     return blocks()
 
 
-def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[BitString, ...]]:
+def bit_text(index: int, n: int) -> str:
+    """The n-bit string of a row index as text: character i is bit i, so x1 is leftmost."""
+    return format(index, f"0{n}b")[::-1]
+
+
+def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[str, ...]]:
     """One kernel pass: the norm sum over all 2^n patterns and the neutral strings."""
     n = len(dirs)
     half_total = 0.0
@@ -122,7 +127,7 @@ def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[BitString, ...
         half_total += float(norms.sum())
         lower.extend((start + np.flatnonzero(norms < NEUTRAL_CUTOFF)).tolist())
     indices = lower + [(1 << n) - 1 - i for i in reversed(lower)]
-    return 2.0 * half_total, tuple(BitString.from_index(i, n) for i in indices)
+    return 2.0 * half_total, tuple(bit_text(i, n) for i in indices)
 
 
 def s_value(measurements: np.typing.ArrayLike) -> float:
@@ -137,10 +142,10 @@ def s_value(measurements: np.typing.ArrayLike) -> float:
 def optimal_encoding(measurements: np.typing.ArrayLike) -> np.ndarray:
     """Best encoding point for every input string: the normalized signed sum.
 
-    Returns a read-only (2^n, 3) array in input-index order: row x.index is
-    the point for string x.  Strings whose signed sum vanishes (within
-    NEUTRAL_CUTOFF) get the fixed fallback NEUTRAL_FALLBACK; any choice gives
-    the same average.
+    Returns a read-only (2^n, 3) array in input-index order: row x is the
+    point for the string bit_text(x, n).  Strings whose signed sum vanishes
+    (within NEUTRAL_CUTOFF) get the fixed fallback NEUTRAL_FALLBACK; any
+    choice gives the same average.
     """
     return _encodings(_unit_rows(measurements))
 
@@ -168,7 +173,7 @@ class QracCode:
 
     Both fields are read-only arrays.  `measurements` is (n, 3): row i is the
     direction measured for position i+1.  `encodings` is (2^n, 3) in
-    input-index order: row x.index is the point for string x.  The
+    input-index order: row x is the point for the string bit_text(x, n).  The
     constructor takes any array-likes of those shapes, copies them, and
     checks that every row of both has unit norm within UNIT_TOLERANCE.
     """
@@ -208,19 +213,21 @@ def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:
 class CodeReport:
     """Success probabilities of a code, per input/position and in aggregate.
 
-    `per_input[x.index, i-1]` is the probability of answering position i
-    correctly on input x: a read-only (2^n, n) array, built from `code` on
-    first read and kept.  `average` and `worst_case` are computed without
-    it; `worst_case` is the smallest cell — the deterministic worst case.
-    Once the protocol is wrapped in shared randomization the worst case
-    rises to the average, exposed as `randomized_worst_case`.
+    `per_input[x, i-1]` is the probability of answering position i
+    correctly on input x (row index x): a read-only (2^n, n) array, built
+    from `code` on first read and kept.  `average` and `worst_case` are
+    computed without it; `worst_case` is the smallest cell — the
+    deterministic worst case.  Once the protocol is wrapped in shared
+    randomization the worst case rises to the average, exposed as
+    `randomized_worst_case`.  `neutral_strings` holds the bit_text of every
+    input whose signed sum vanishes, in index order.
     """
 
     code: QracCode
     average: float
     worst_case: float
     s_value: float
-    neutral_strings: tuple[BitString, ...]
+    neutral_strings: tuple[str, ...]
 
     @cached_property
     def per_input(self) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochVector, state_from_bloch
-from .classical import BitString
 from .codes import QracCode, _encodings, _norm_sum_and_neutral, _unit_rows, probability_from_s_value
 from .errors import CostLimitError
 
@@ -376,41 +375,36 @@ def _matches(pattern: str, text: str) -> bool:
     return all(p in ("*", c) for p, c in zip(pattern, text))
 
 
-def classify_string(name: str, x: BitString) -> str:
+def classify_string(name: str, x: str) -> str:
     """Which polyhedron the optimal encoding of x lands on, for qrac6 or qrac9.
 
-    For qrac6 the measurements come in three pairs whose signed sums either
-    reinforce (equal bits) or swap axis (differing bits); counting differing
-    pairs and matching the cancellation patterns sorts the 64 strings onto
-    the cube, the truncated octahedron, or the octahedron.  For qrac9 each
-    coordinate axis carries three measurements, so each axis triple is either
-    unanimous (component 3) or split (component 1); the number t of split
-    triples sorts the 512 strings onto the cube (t in {0, 3}), the truncated
-    cube (t = 1), or the small rhombicuboctahedron (t = 2).
+    x is the string as text, x1 leftmost (see codes.bit_text).  For qrac6 the
+    measurements come in three pairs whose signed sums either reinforce
+    (equal bits) or swap axis (differing bits); counting differing pairs and
+    matching the cancellation patterns sorts the 64 strings onto the cube,
+    the truncated octahedron, or the octahedron.  For qrac9 each coordinate
+    axis carries three measurements, so each axis triple is either unanimous
+    (component 3) or split (component 1); the number t of split triples
+    sorts the 512 strings onto the cube (t in {0, 3}), the truncated cube
+    (t = 1), or the small rhombicuboctahedron (t = 2).
     """
+    n = {"qrac6": 6, "qrac9": 9}.get(name)
+    if n is None:
+        raise ValueError(f"classification is defined for qrac6 and qrac9, not {name!r}")
+    if len(x) != n or x.strip("01"):
+        raise ValueError(f"{name} strings are {n} characters 0 or 1, got {x!r}")
     if name == "qrac6":
-        if len(x) != 6:
-            raise ValueError(f"qrac6 strings have 6 bits, got {len(x)}")
-        bits = x.bits
-        differing = sum(abs(bits[2 * k] - bits[2 * k + 1]) for k in range(3))
+        differing = sum(x[2 * k] != x[2 * k + 1] for k in range(3))
         if differing in (0, 3):
             return "cube"
-        if any(_matches(p, x.text) for p in _FLAT_PATTERNS):
+        if any(_matches(p, x) for p in _FLAT_PATTERNS):
             return "truncated_octahedron"
-        if any(_matches(p, x.text) for p in _AXIS_PATTERNS):
+        if any(_matches(p, x) for p in _AXIS_PATTERNS):
             return "octahedron"
-        raise ValueError(f"string {x.text!r} matches no classification pattern")
-    if name == "qrac9":
-        if len(x) != 9:
-            raise ValueError(f"qrac9 strings have 9 bits, got {len(x)}")
-        bits = x.bits
-        split_triples = sum(
-            0 if bits[axis] == bits[axis + 3] == bits[axis + 6] else 1
-            for axis in range(3)
-        )
-        if split_triples in (0, 3):
-            return "cube"
-        if split_triples == 1:
-            return "truncated_cube"
-        return "small_rhombicuboctahedron"
-    raise ValueError(f"classification is defined for qrac6 and qrac9, not {name!r}")
+        raise ValueError(f"string {x!r} matches no classification pattern")
+    split_triples = sum(not x[axis] == x[axis + 3] == x[axis + 6] for axis in range(3))
+    if split_triples in (0, 3):
+        return "cube"
+    if split_triples == 1:
+        return "truncated_cube"
+    return "small_rhombicuboctahedron"

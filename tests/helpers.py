@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from qrac.bloch import BlochVector, uniform_directions
-from qrac.classical import BitString
 from qrac.codes import (
     NEUTRAL_CUTOFF,
     QracCode,
@@ -23,8 +22,10 @@ def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, 
     return tuple(BlochVector.from_array(row) for row in uniform_directions(n, rng))
 
 
-def signed_direction_sum(dirs: np.ndarray, x: BitString) -> np.ndarray:
+def signed_direction_sum(dirs: np.ndarray, x: str) -> np.ndarray:
     """Sum of the (n, 3) direction rows with sign (-1)^(x_i) on the i-th term.
+
+    x is the string as text, x1 leftmost (codes.bit_text).
 
     The per-string reference for the sign-pattern kernel.  Terms are added one
     by one in position order from +0.0: the order in which an OpenBLAS matrix
@@ -35,13 +36,13 @@ def signed_direction_sum(dirs: np.ndarray, x: BitString) -> np.ndarray:
         raise ValueError(f"string length {len(x)} does not match measurement count {len(dirs)}")
     total = np.zeros(3)
     for bit, direction in zip(x, dirs):
-        total = total - direction if bit else total + direction
+        total = total - direction if bit == "1" else total + direction
     return total
 
 
 def reference_evaluate(
     code: QracCode,
-) -> tuple[np.ndarray, float, float, float, tuple[BitString, ...]]:
+) -> tuple[np.ndarray, float, float, float, tuple[str, ...]]:
     """The dense scoring that the blockwise evaluate replaced.
 
     Builds the whole (2^n, n) table at once and returns (per_input, average,

@@ -6,10 +6,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qrac.classical import (
-    BitString,
     DECODERS,
     PureClassicalStrategy,
     brute_force_optimal,
@@ -23,6 +23,8 @@ from qrac.classical import (
     MAX_STRATEGY_N,
     optimal_classical_probability,
 )
+from qrac.cli import _key_indices
+from qrac.codes import bit_text
 from qrac.errors import CostLimitError
 
 
@@ -165,27 +167,27 @@ def test_decoder_table_contents():
 
 
 def test_bitstring_round_trips():
-    for n in range(1, 7):
-        for index in range(1 << n):
-            s = BitString.from_index(index, n)
-            assert s.index == index
-            assert BitString.from_text(s.text) == s
-            assert len(s) == n
-    s = BitString.from_text("0110")
-    assert list(s) == [0, 1, 1, 0]
+    # bit_text and the document key parser invert each other on every index
+    for n in range(1, 9):
+        texts = [bit_text(index, n) for index in range(1 << n)]
+        assert all(len(text) == n and not text.strip("01") for text in texts), n
+        assert [int(text[::-1], 2) for text in texts] == list(range(1 << n)), n
+        assert np.array_equal(_key_indices(texts, n), np.arange(1 << n)), n
 
 
 def test_bitstring_text_uses_leftmost_first_bit():
-    s = BitString.from_text("10")
-    assert s.bits == (1, 0)
-    assert s.text == "10"
+    # x1 is the leftmost character and bit 0 of the index
+    assert (bit_text(1, 2), bit_text(6, 4)) == ("10", "0110")
+    assert _key_indices(["10", "01"], 2).tolist() == [1, 2]
+    assert _key_indices(["0110"], 4).tolist() == [6]
 
 
 def test_bitstring_validation():
-    with pytest.raises(ValueError):
-        BitString.from_text("01a")
-    with pytest.raises(ValueError):
-        BitString.from_index(4, 2)
+    with pytest.raises(ValueError, match="'01a'"):
+        _key_indices(["010", "01a"], 3)
+    assert bit_text(4, 2) == "001"  # an index beyond n bits gives a longer text, which
+    with pytest.raises(ValueError, match="'001'"):  # the parser refuses
+        _key_indices([bit_text(4, 2)], 2)
 
 
 def test_asymptotic_examples():

@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from qrac.bloch import BlochVector
-from qrac.cli import SCHEMA_VERSION, _vector_from_json, code_document, code_from_document, main
+from qrac.cli import (
+    SCHEMA_VERSION,
+    _vector_from_json,
+    code_document,
+    code_from_document,
+    main,
+)
 from qrac.codes import evaluate, optimal_code
-from qrac.constructions import MAX_CIRCLES, known_code, known_construction
+from qrac.constructions import MAX_CIRCLES, construction_names, known_code, known_construction
 
 from helpers import random_measurements
 
@@ -235,14 +241,43 @@ def test_eval_reads_null_or_missing_metadata_as_none(tmp_path, capsys, metadata)
     assert out.startswith("name: -\n")
 
 
-def test_eval_rejects_malformed_encoding_key(tmp_path, capsys):
+#: Keys that are not 2-bit strings, among them three a careless array parse would take:
+#: numpy "U" arrays drop a trailing NUL, int() reads a full-width digit, and a lone
+#: surrogate makes a strict ASCII encode raise its own error instead of naming the key.
+MALFORMED_KEYS = {
+    "wrong-char": "0x",
+    "short": "0",
+    "long": "011",
+    "empty": "",
+    "full-width-digit": "\uff101",
+    "trailing-nul": "01\x00",
+    "lone-surrogate": "\ud800",
+}
+
+
+@pytest.mark.parametrize("key", list(MALFORMED_KEYS.values()), ids=list(MALFORMED_KEYS))
+def test_eval_rejects_malformed_encoding_key(tmp_path, capsys, key):
     path = tmp_path / "code.json"
     document = code_document(known_code("qrac2"))
-    document["encodings"]["0x"] = document["encodings"].pop("11")
+    document["encodings"][key] = document["encodings"].pop("11")
     path.write_text(json.dumps(document))
-    code, _, err = run(capsys, "code", "eval", "--json", str(path))
-    assert code == 2
-    assert "'0x'" in err
+    code, out, err = run(capsys, "code", "eval", "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: encoding key {key!r} is not a string of 2 bits\n"
+
+
+def test_key_order_does_not_change_the_loaded_code():
+    rng = np.random.default_rng(5)
+    documents = [code_document(optimal_code(random_measurements(n, rng))) for n in range(1, 9)]
+    documents += [code_document(known_code(name)) for name in construction_names()]
+    for document in documents:
+        canonical = code_from_document(document)[0].encodings.tobytes()
+        keys = list(document["encodings"])
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        for order in (keys[::-1], shuffled):
+            encodings = {key: document["encodings"][key] for key in order}
+            code, _ = code_from_document(json.loads(json.dumps({**document, "encodings": encodings})))
+            assert code.encodings.tobytes() == canonical, document["n"]
 
 
 def test_encoding_rows_load_as_one_at_a_time(rng):

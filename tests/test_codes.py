@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrac.bloch import BlochVector, uniform_directions
-from qrac.classical import BitString, optimal_classical_probability
+from qrac.classical import optimal_classical_probability
 from qrac.codes import (
     MAX_EVALUATE,
     NEUTRAL_CUTOFF,
@@ -20,6 +20,7 @@ from qrac.codes import (
     _CHUNK,
     CodeReport,
     QracCode,
+    bit_text,
     classical_comparison_scan,
     evaluate,
     optimal_code,
@@ -54,22 +55,17 @@ def test_sign_matrix_chunk_slicing():
 
 
 def test_signed_direction_sum_examples():
-    zero = BitString.from_text("0")
-    assert signed_direction_sum(XYZ[2:], zero) == pytest.approx([0.0, 0.0, 1.0])
-    v = signed_direction_sum(XYZ[:2], BitString.from_text("00"))
+    assert signed_direction_sum(XYZ[2:], "0") == pytest.approx([0.0, 0.0, 1.0])
+    v = signed_direction_sum(XYZ[:2], "00")
     assert v == pytest.approx([1.0, 1.0, 0.0])
-    v = signed_direction_sum(XYZ[:2], BitString.from_text("10"))
+    v = signed_direction_sum(XYZ[:2], "10")
     assert v == pytest.approx([-1.0, 1.0, 0.0])
 
 
 def test_optimal_encoding_two_axes():
     enc = optimal_encoding((X, Y))
-    assert enc[BitString.from_text("00").index] == pytest.approx(
-        np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-    )
-    assert enc[BitString.from_text("11").index] == pytest.approx(
-        np.array([-1.0, -1.0, 0.0]) / math.sqrt(2)
-    )
+    assert enc[0b00] == pytest.approx(np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
+    assert enc[0b11] == pytest.approx(np.array([-1.0, -1.0, 0.0]) / math.sqrt(2))
     assert enc.shape == (4, 3)
     assert not enc.flags.writeable
 
@@ -77,18 +73,18 @@ def test_optimal_encoding_two_axes():
 def test_optimal_encoding_three_axes_hits_cube_corners():
     enc = optimal_encoding((X, Y, Z))
     for bits in itertools.product((0, 1), repeat=3):
-        s = BitString(bits)
+        index = bits[0] | bits[1] << 1 | bits[2] << 2  # x1 is bit 0
         expected = np.array([1.0 - 2 * b for b in bits]) / math.sqrt(3)
-        assert enc[s.index] == pytest.approx(expected, abs=1e-12)
+        assert enc[index] == pytest.approx(expected, abs=1e-12)
 
 
 def test_neutral_string_gets_fallback_vector():
     # two antipodal measurement pairs cancel for half the strings
     ms = (X, X, Y, Y)
     neutrals = evaluate(optimal_code(ms)).neutral_strings
-    assert BitString.from_text("0101") in neutrals
+    assert "0101" in neutrals
     enc = optimal_encoding(ms)
-    assert np.array_equal(enc[BitString.from_text("0101").index], np.asarray(NEUTRAL_FALLBACK))
+    assert np.array_equal(enc[0b1010], np.asarray(NEUTRAL_FALLBACK))  # x2, x4: bits 1, 3
 
 
 def test_s_value_single_measurement():
@@ -278,8 +274,7 @@ def test_code_arrays_are_index_ordered():
     arr = code.encodings
     assert arr.shape == (4, 3)
     for index in range(4):
-        s = BitString.from_index(index, 2)
-        expected = signed_direction_sum(XYZ[:2], s) / math.sqrt(2)
+        expected = signed_direction_sum(XYZ[:2], bit_text(index, 2)) / math.sqrt(2)
         assert arr[index] == pytest.approx(expected, abs=1e-15)
 
 
@@ -371,7 +366,7 @@ def _per_string_reference(ms):
     dirs = np.array([np.asarray(m) for m in ms])
     points, neutral, total = [], [], 0.0
     for index in range(1 << n):
-        x = BitString.from_index(index, n)
+        x = bit_text(index, n)
         v = signed_direction_sum(dirs, x)
         norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
         total += norm

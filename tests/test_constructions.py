@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from qrac.bloch import BlochVector, uniform_directions
-from qrac.classical import BitString
-from qrac.codes import evaluate, upper_bound
+from qrac.codes import bit_text, evaluate, upper_bound
 from qrac.constructions import (
     CLUSTER_TOLERANCE,
     CONSTRUCTIONS,
@@ -143,8 +142,7 @@ def test_worst_case_values():
 
 def test_sym4_neutral_strings():
     report = evaluate(known_code("sym4"))
-    texts = sorted(s.text for s in report.neutral_strings)
-    assert texts == ["0000", "1111"]
+    assert report.neutral_strings == ("0000", "1111")
     for name in ("qrac5", "qrac6", "qrac9", "sym6"):
         assert evaluate(known_code(name)).neutral_strings == ()
 
@@ -157,11 +155,11 @@ def test_sym4_encodings_match_hand_formulas():
     """
     code = known_code("sym4")
     for index in range(16):
-        s = BitString.from_index(index, 4)
-        x1, x2, x3, x4 = s.bits
+        s = bit_text(index, 4)
+        x1, x2, x3, x4 = map(int, s)
         parity = x1 ^ x2 ^ x3 ^ x4
         if parity == 0:
-            if len(set(s.bits)) == 1:
+            if len(set(s)) == 1:
                 continue  # neutral
             expected = (-1.0) ** x4 * np.array(
                 [1 - abs(x1 - x4), 1 - abs(x2 - x4), 1 - abs(x3 - x4)], dtype=float
@@ -171,7 +169,7 @@ def test_sym4_encodings_match_hand_formulas():
             expected = sign * np.array(
                 [(-1.0) ** (x1 + x4), (-1.0) ** (x2 + x4), (-1.0) ** (x3 + x4)]
             ) / SQRT3
-        assert code.encodings[index] == pytest.approx(expected, abs=1e-12), s.text
+        assert code.encodings[index] == pytest.approx(expected, abs=1e-12), s
 
 
 # ---------------------------------------------------------------- polyhedra
@@ -231,13 +229,13 @@ def _vertex_histogram(name: str) -> dict[str, dict[int, int]]:
     }
     histogram: dict[str, dict[int, int]] = {}
     for index in range(1 << construction.n):
-        s = BitString.from_index(index, construction.n)
+        s = bit_text(index, construction.n)
         tag = classify_string(name, s)
         v = signed_direction_sum(known_code(name).measurements, s)
         unit = v / np.linalg.norm(v)
         distances = np.linalg.norm(vertex_sets[tag] - unit, axis=1)
         hit = int(np.argmin(distances))
-        assert distances[hit] < 1e-9, (name, s.text, tag)
+        assert distances[hit] < 1e-9, (name, s, tag)
         histogram.setdefault(tag, {}).setdefault(hit, 0)
         histogram[tag][hit] += 1
     return histogram
@@ -266,19 +264,23 @@ def test_classify_qrac9_counts_and_geometry():
 
 
 def test_classify_examples():
-    assert classify_string("qrac6", BitString.from_text("000000")) == "cube"
-    assert classify_string("qrac6", BitString.from_text("001110")) == "truncated_octahedron"
-    assert classify_string("qrac9", BitString.from_text("000000000")) == "cube"
-    assert classify_string("qrac9", BitString.from_text("110000000")) == "small_rhombicuboctahedron"
-    assert classify_string("qrac9", BitString.from_text("100000000")) == "truncated_cube"
-    assert classify_string("qrac9", BitString.from_text("111111111")) == "cube"
+    assert classify_string("qrac6", "000000") == "cube"
+    assert classify_string("qrac6", "001110") == "truncated_octahedron"
+    assert classify_string("qrac9", "000000000") == "cube"
+    assert classify_string("qrac9", "110000000") == "small_rhombicuboctahedron"
+    assert classify_string("qrac9", "100000000") == "truncated_cube"
+    assert classify_string("qrac9", "111111111") == "cube"
 
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify_string("qrac5", BitString.from_text("00000"))
+        classify_string("qrac5", "00000")
     with pytest.raises(ValueError):
-        classify_string("qrac6", BitString.from_text("0000000"))
+        classify_string("qrac6", "0000000")
+    with pytest.raises(ValueError, match="'0000x0'"):
+        classify_string("qrac6", "0000x0")  # the text is checked, not only its length
+    with pytest.raises(ValueError, match=r"'00000000\\x00'"):
+        classify_string("qrac9", "00000000\x00")
 
 
 # ------------------------------------------------------------------ regions

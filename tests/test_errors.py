@@ -104,7 +104,7 @@ def test_every_guard_builds_the_one_message(call, requested, limit):
 
 def test_reworded_messages_read_exactly():
     expected = {
-        "lattice-walk": "lattice walk of 61 steps sums 62 terms with int64 weights up to 2**61; "
+        "lattice-walk": "lattice walk of 61 steps sums 31 terms with int64 weights up to 2**61; "
         "x + y + z = 61 exceeds the limit 60",
         "circles": "1001 circles meet in 1001000 intersection points "
         "(24024000 bytes as float64 3-vectors); circles = 1001 exceeds the limit 1000",
