@@ -13,10 +13,11 @@ import math
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .bloch import BlochVector
+from .bloch import UNIT_TOLERANCE, BlochVector
 from .bounds import (
     ASYMPTOTIC_VALID_FROM,
     orthogonal_lower_bound,
@@ -42,10 +43,8 @@ from .sim import simulate_code
 #: Version stamp written into every JSON document this tool produces.
 SCHEMA_VERSION = 1
 
-#: Vectors are stored verbatim when this close to unit norm.
-_KEEP_NORM = 1e-12
-
-#: Vectors further than this from unit norm are rejected on load.
+#: Vectors further than this from unit norm are rejected on load; those within
+#: UNIT_TOLERANCE, which QracCode accepts as they are, are stored verbatim.
 _REJECT_NORM = 1e-9
 
 
@@ -90,7 +89,7 @@ def _coordinates(raw: object, context: str) -> tuple[float, float, float]:
 def _vector_from_json(raw: object, context: str) -> tuple[float, float, float]:
     x, y, z = _coordinates(raw, context)
     norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) <= _KEEP_NORM:
+    if abs(norm - 1.0) <= UNIT_TOLERANCE:
         return x, y, z
     if abs(norm - 1.0) <= _REJECT_NORM:
         return x / norm, y / norm, z / norm
@@ -119,7 +118,7 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
     suspects = np.flatnonzero(((rows == 0.0) | (rows == 1.0)).any(axis=1)).tolist()
     if any(bool in map(type, raw_rows[i]) for i in suspects):
         return None
-    rescale = deviation > _KEEP_NORM
+    rescale = deviation > UNIT_TOLERANCE
     rows[rescale] /= norm[rescale, None]
     return rows
 
@@ -411,10 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once: each build leaves hundreds of cyclic objects."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

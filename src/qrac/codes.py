@@ -139,34 +139,6 @@ def s_value(measurements: np.typing.ArrayLike) -> float:
     return _norm_sum_and_neutral(_unit_rows(measurements))[0]
 
 
-def optimal_encoding(measurements: np.typing.ArrayLike) -> np.ndarray:
-    """Best encoding point for every input string: the normalized signed sum.
-
-    Returns a read-only (2^n, 3) array in input-index order: row x is the
-    point for the string bit_text(x, n).  Strings whose signed sum vanishes
-    (within NEUTRAL_CUTOFF) get the fixed fallback NEUTRAL_FALLBACK; any
-    choice gives the same average.
-    """
-    return _encodings(_unit_rows(measurements))
-
-
-def _encodings(dirs: np.ndarray) -> np.ndarray:
-    """optimal_encoding of directions that _unit_rows has checked."""
-    blocks = _signed_sums(dirs)  # guarded before the array below exists
-    size = 1 << len(dirs)
-    points = np.empty((size, 3))
-    for start, sums, norms in blocks:
-        stop = start + len(sums)
-        neutral = norms < NEUTRAL_CUTOFF
-        unit = sums / np.where(neutral, 1.0, norms)[:, None]
-        points[start:stop] = unit
-        points[size - stop : size - start] = 0.0 - unit[::-1]  # exact, and no -0.0
-        rows = start + np.flatnonzero(neutral)
-        points[rows] = points[size - 1 - rows] = np.asarray(NEUTRAL_FALLBACK)
-    points.setflags(write=False)
-    return points
-
-
 @dataclass(frozen=True, eq=False)
 class QracCode:
     """A complete code: n measurement directions plus an encoding per string.
@@ -194,9 +166,26 @@ class QracCode:
 
 
 def optimal_code(measurements: np.typing.ArrayLike) -> QracCode:
-    """The code using the given directions, (n, 3) unit rows, with their best encodings."""
+    """The code using the given directions, (n, 3) unit rows, with their best encodings.
+
+    Row x of the encodings is the normalized signed sum for the string
+    bit_text(x, n).  Strings whose signed sum vanishes (within NEUTRAL_CUTOFF)
+    get the fixed fallback NEUTRAL_FALLBACK; any choice gives the same average.
+    """
     dirs = _unit_rows(measurements)
-    return QracCode(dirs, _encodings(dirs), _checked=True)
+    blocks = _signed_sums(dirs)  # guarded before the array below exists
+    size = 1 << len(dirs)
+    points = np.empty((size, 3))
+    for start, sums, norms in blocks:
+        stop = start + len(sums)
+        neutral = norms < NEUTRAL_CUTOFF
+        unit = sums / np.where(neutral, 1.0, norms)[:, None]
+        points[start:stop] = unit
+        points[size - stop : size - start] = 0.0 - unit[::-1]  # exact, and no -0.0
+        rows = start + np.flatnonzero(neutral)
+        points[rows] = points[size - 1 - rows] = np.asarray(NEUTRAL_FALLBACK)
+    points.setflags(write=False)
+    return QracCode(dirs, points, _checked=True)
 
 
 def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:

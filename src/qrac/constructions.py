@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochVector, state_from_bloch
-from .codes import QracCode, _encodings, _norm_sum_and_neutral, _unit_rows, probability_from_s_value
+from .codes import QracCode, _norm_sum_and_neutral, _norms, _unit_rows, optimal_code, probability_from_s_value
 from .errors import CostLimitError
 
 #: Golden ratio; vertex coordinate of the icosahedral solids.
@@ -62,55 +62,63 @@ class NamedConstruction:
         return len(self.measurements)
 
 
-def _unit(x: float, y: float, z: float) -> BlochVector:
-    return BlochVector.normalized(x, y, z)
+def _normalized(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """Coordinate triples as read-only unit rows, each divided by its norm as BlochVector.normalized does."""
+    table = np.array(rows, dtype=float)
+    table /= _norms(table)[:, None]
+    table.setflags(write=False)
+    return table
 
 
-_X = BlochVector(1.0, 0.0, 0.0)
-_Y = BlochVector(0.0, 1.0, 0.0)
-_Z = BlochVector(0.0, 0.0, 1.0)
+#: The coordinate axes x, y and z.
+_XYZ = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 #: Pair representatives of the cuboctahedron's twelve vertices (six axes).
 _CUBOCTAHEDRON_AXES = (
-    _unit(0.0, 1.0, 1.0),
-    _unit(0.0, -1.0, 1.0),
-    _unit(1.0, 0.0, 1.0),
-    _unit(1.0, 0.0, -1.0),
-    _unit(1.0, 1.0, 0.0),
-    _unit(-1.0, 1.0, 0.0),
+    (0, 1, 1),
+    (0, -1, 1),
+    (1, 0, 1),
+    (1, 0, -1),
+    (1, 1, 0),
+    (-1, 1, 0),
 )
 
 #: Pair representatives of the icosahedron's twelve vertices (six axes),
 #: chosen with the first nonzero coordinate positive.
 _ICOSAHEDRON_AXES = (
-    _unit(0.0, _TAU, 1.0),
-    _unit(0.0, _TAU, -1.0),
-    _unit(1.0, 0.0, _TAU),
-    _unit(1.0, 0.0, -_TAU),
-    _unit(_TAU, 1.0, 0.0),
-    _unit(_TAU, -1.0, 0.0),
+    (0, _TAU, 1),
+    (0, _TAU, -1),
+    (1, 0, _TAU),
+    (1, 0, -_TAU),
+    (_TAU, 1, 0),
+    (_TAU, -1, 0),
+)
+
+#: Pair representatives of the icosidodecahedron's thirty vertices.
+_ICOSIDODECAHEDRON_AXES = _XYZ + (
+    (1, _TAU, _TAU * _TAU),
+    (_TAU * _TAU, 1, _TAU),
+    (_TAU, _TAU * _TAU, 1),
+    (1, _TAU, -_TAU * _TAU),
+    (_TAU * _TAU, 1, -_TAU),
+    (_TAU, _TAU * _TAU, -1),
+    (1, -_TAU, _TAU * _TAU),
+    (_TAU * _TAU, -1, _TAU),
+    (_TAU, -_TAU * _TAU, 1),
+    (1, -_TAU, -_TAU * _TAU),
+    (_TAU * _TAU, -1, -_TAU),
+    (_TAU, -_TAU * _TAU, -1),
 )
 
 
-def _icosidodecahedron_axes() -> tuple[BlochVector, ...]:
-    """Pair representatives of the icosidodecahedron's thirty vertices."""
-    axes = [_X, _Y, _Z]
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            axes.append(_unit(1.0, s1 * _TAU, s2 * _TAU * _TAU))
-            axes.append(_unit(_TAU * _TAU, s1 * 1.0, s2 * _TAU))
-            axes.append(_unit(_TAU, s1 * _TAU * _TAU, s2 * 1.0))
-    return tuple(axes)
-
-
 def _registry() -> dict[str, NamedConstruction]:
-    entries: list[tuple[str, tuple[BlochVector, ...], float | None]] = [
-        ("qrac2", (_X, _Y), 0.5 + 0.5 / math.sqrt(2.0)),
-        ("qrac3", (_X, _Y, _Z), 0.5 + 0.5 / math.sqrt(3.0)),
-        ("qrac4", (_X, _Y, _Z, _Z), 0.5 + (1.0 + math.sqrt(3.0)) / (8.0 * math.sqrt(2.0))),
+    entries: list[tuple[str, tuple[tuple[float, float, float], ...], float | None]] = [
+        ("qrac2", _XYZ[:2], 0.5 + 0.5 / math.sqrt(2.0)),
+        ("qrac3", _XYZ, 0.5 + 0.5 / math.sqrt(3.0)),
+        ("qrac4", _XYZ + _XYZ[2:], 0.5 + (1.0 + math.sqrt(3.0)) / (8.0 * math.sqrt(2.0))),
         (
             "qrac5",
-            (_X, _Y, _Z, _unit(1.0, 1.0, 0.0), _unit(-1.0, 1.0, 0.0)),
+            _XYZ + ((1, 1, 0), (-1, 1, 0)),
             0.5 + math.sqrt(2.0 * (5.0 + math.sqrt(17.0))) / 20.0,
         ),
         (
@@ -120,7 +128,7 @@ def _registry() -> dict[str, NamedConstruction]:
         ),
         (
             "qrac9",
-            (_X, _Y, _Z, _X, _Y, _Z, _X, _Y, _Z),
+            _XYZ * 3,
             0.5
             + (10.0 * math.sqrt(3.0) + 9.0 * math.sqrt(11.0) + 3.0 * math.sqrt(19.0))
             / 384.0,
@@ -128,10 +136,10 @@ def _registry() -> dict[str, NamedConstruction]:
         (
             "sym4",
             (
-                _unit(1.0, -1.0, -1.0),
-                _unit(-1.0, 1.0, -1.0),
-                _unit(-1.0, -1.0, 1.0),
-                _unit(1.0, 1.0, 1.0),
+                (1, -1, -1),
+                (-1, 1, -1),
+                (-1, -1, 1),
+                (1, 1, 1),
             ),
             0.5 + (2.0 + math.sqrt(3.0)) / 16.0,
         ),
@@ -142,12 +150,12 @@ def _registry() -> dict[str, NamedConstruction]:
             + math.sqrt(5.0) / 32.0
             + math.sqrt(75.0 + 30.0 * math.sqrt(5.0)) / 96.0,
         ),
-        ("sym9", (_X, _Y, _Z) + _CUBOCTAHEDRON_AXES, None),
-        ("sym15", _icosidodecahedron_axes(), None),
+        ("sym9", _XYZ + _CUBOCTAHEDRON_AXES, None),
+        ("sym15", _ICOSIDODECAHEDRON_AXES, None),
     ]
     registry: dict[str, NamedConstruction] = {}
     for name, axes, value in entries:
-        dirs = _unit_rows(axes)
+        dirs = _normalized(axes)
         if value is None:
             value = probability_from_s_value(_norm_sum_and_neutral(dirs)[0], len(dirs))
         registry[name] = NamedConstruction(name, dirs, value)
@@ -172,39 +180,37 @@ def known_construction(name: str) -> NamedConstruction:
 
 def known_code(name: str) -> QracCode:
     """Build the named construction as a full code with optimal encodings."""
-    dirs = known_construction(name).measurements
-    return QracCode(dirs, _encodings(dirs), _checked=True)
+    return optimal_code(known_construction(name).measurements)
 
 
-def _signed_permutations(base: tuple[float, float, float]) -> list[BlochVector]:
-    """Every coordinate permutation of `base` with every sign choice, deduplicated."""
-    seen: set[tuple[float, float, float]] = set()
-    out: list[BlochVector] = []
-    for perm in itertools.permutations(base):
-        nonzero = [i for i, t in enumerate(perm) if t != 0.0]
-        for signs in range(1 << len(nonzero)):
-            coords = list(perm)
-            for pos, axis in enumerate(nonzero):
-                if (signs >> pos) & 1:
-                    coords[axis] = -coords[axis]
-            key = (coords[0], coords[1], coords[2])
-            if key not in seen:
-                seen.add(key)
-                out.append(_unit(*key))
-    return out
+def _signed_permutations(base: tuple[int, int, int]) -> list[tuple[float, float, float]]:
+    """Every signed coordinate permutation of `base` once, in first-seen order; zeros stay +0.0."""
+    rows = (
+        (p[0] * a, p[1] * b, p[2] * c)
+        for p in itertools.permutations(base)
+        for c, b, a in itertools.product((1.0, -1.0), repeat=3)
+    )
+    return list(dict.fromkeys(rows))
 
 
-_POLYHEDRA: dict[str, tuple[BlochVector, ...]] = {
-    "cube": tuple(_signed_permutations((1.0, 1.0, 1.0))),
-    "octahedron": (_X, _Y, _Z, -_X, -_Y, -_Z),
-    "cuboctahedron": tuple(v for axis in _CUBOCTAHEDRON_AXES for v in (axis, -axis)),
-    "truncated_octahedron": tuple(_signed_permutations((0.0, 1.0, 2.0))),
-    "truncated_cube": tuple(_signed_permutations((1.0, 3.0, 3.0))),
-    "small_rhombicuboctahedron": tuple(_signed_permutations((3.0, 1.0, 1.0))),
-    "icosahedron": tuple(v for axis in _ICOSAHEDRON_AXES for v in (axis, -axis)),
-    "icosidodecahedron": tuple(
-        v for axis in _icosidodecahedron_axes() for v in (axis, -axis)
-    ),
+def _with_antipodes(axes: Sequence[Sequence[float]]) -> np.ndarray:
+    """Each axis followed by its antipode, as a (2m, 3) array."""
+    rows = np.array(axes, dtype=float)
+    return np.stack((rows, -rows), axis=1).reshape(-1, 3)
+
+
+_POLYHEDRA: dict[str, np.ndarray] = {
+    name: _normalized(rows)
+    for name, rows in {
+        "cube": _signed_permutations((1, 1, 1)),
+        "octahedron": np.concatenate((np.eye(3), -np.eye(3))),
+        "cuboctahedron": _with_antipodes(_CUBOCTAHEDRON_AXES),
+        "truncated_octahedron": _signed_permutations((0, 1, 2)),
+        "truncated_cube": _signed_permutations((1, 3, 3)),
+        "small_rhombicuboctahedron": _signed_permutations((3, 1, 1)),
+        "icosahedron": _with_antipodes(_ICOSAHEDRON_AXES),
+        "icosidodecahedron": _with_antipodes(_ICOSIDODECAHEDRON_AXES),
+    }.items()
 }
 
 
@@ -212,8 +218,8 @@ def polyhedron_names() -> tuple[str, ...]:
     return tuple(_POLYHEDRA)
 
 
-def polyhedron_vertices(name: str) -> tuple[BlochVector, ...]:
-    """Unit-normalized vertices of a named polyhedron."""
+def polyhedron_vertices(name: str) -> np.ndarray:
+    """Unit-normalized vertices of a named polyhedron, as a read-only (m, 3) array."""
     key = name.strip().lower().replace(" ", "_").replace("-", "_")
     try:
         return _POLYHEDRA[key]
@@ -351,60 +357,22 @@ def encoding_polynomial_check(name: str, poly: Sequence[int]) -> bool:
     return True
 
 
-#: Wildcard patterns over the six positions; "*" matches either bit.  Strings
-#: with pair-difference count 1 or 2 match exactly one list.
-_FLAT_PATTERNS = (
-    "**1110",
-    "**0001",
-    "10**11",
-    "01**00",
-    "1110**",
-    "0001**",
-)
-_AXIS_PATTERNS = (
-    "**1101",
-    "**0010",
-    "01**11",
-    "10**00",
-    "1101**",
-    "0010**",
-)
-
-
-def _matches(pattern: str, text: str) -> bool:
-    return all(p in ("*", c) for p, c in zip(pattern, text))
-
-
 def classify_string(name: str, x: str) -> str:
     """Which polyhedron the optimal encoding of x lands on, for qrac6 or qrac9.
 
-    x is the string as text, x1 leftmost (see codes.bit_text).  For qrac6 the
-    measurements come in three pairs whose signed sums either reinforce
-    (equal bits) or swap axis (differing bits); counting differing pairs and
-    matching the cancellation patterns sorts the 64 strings onto the cube,
-    the truncated octahedron, or the octahedron.  For qrac9 each coordinate
-    axis carries three measurements, so each axis triple is either unanimous
-    (component 3) or split (component 1); the number t of split triples
-    sorts the 512 strings onto the cube (t in {0, 3}), the truncated cube
-    (t = 1), or the small rhombicuboctahedron (t = 2).
+    x is the string as text, x1 leftmost (see codes.bit_text).  The answer is
+    the candidate solid (cube, truncated octahedron or octahedron for qrac6;
+    cube, truncated cube or small rhombicuboctahedron for qrac9) that has the
+    encoding of x as a vertex within CLUSTER_TOLERANCE.
     """
-    n = {"qrac6": 6, "qrac9": 9}.get(name)
-    if n is None:
+    solids = {
+        "qrac6": ("cube", "truncated_octahedron", "octahedron"),
+        "qrac9": ("cube", "truncated_cube", "small_rhombicuboctahedron"),
+    }.get(name)
+    if solids is None:
         raise ValueError(f"classification is defined for qrac6 and qrac9, not {name!r}")
-    if len(x) != n or x.strip("01"):
-        raise ValueError(f"{name} strings are {n} characters 0 or 1, got {x!r}")
-    if name == "qrac6":
-        differing = sum(x[2 * k] != x[2 * k + 1] for k in range(3))
-        if differing in (0, 3):
-            return "cube"
-        if any(_matches(p, x) for p in _FLAT_PATTERNS):
-            return "truncated_octahedron"
-        if any(_matches(p, x) for p in _AXIS_PATTERNS):
-            return "octahedron"
-        raise ValueError(f"string {x!r} matches no classification pattern")
-    split_triples = sum(not x[axis] == x[axis + 3] == x[axis + 6] for axis in range(3))
-    if split_triples in (0, 3):
-        return "cube"
-    if split_triples == 1:
-        return "truncated_cube"
-    return "small_rhombicuboctahedron"
+    code = known_code(name)
+    if len(x) != code.n or x.strip("01"):
+        raise ValueError(f"{name} strings are {code.n} characters 0 or 1, got {x!r}")
+    point = code.encodings[int(x[::-1], 2)]
+    return next(s for s in solids if (_norms(_POLYHEDRA[s] - point) < CLUSTER_TOLERANCE).any())

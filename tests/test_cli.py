@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
@@ -555,3 +556,24 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_calls_after_the_first_leave_no_cyclic_garbage(capsys):
+    # main builds its parser once; building one per call left hundreds of
+    # cyclic objects behind every call
+    commands = (
+        ["classical", "--n", "3"],
+        ["bound", "--kind", "upper", "--n", "4"],
+        ["code", "show", "--name", "qrac3"],
+    )
+    for argv in commands:
+        assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands * 3:
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

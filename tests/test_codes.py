@@ -24,7 +24,6 @@ from qrac.codes import (
     classical_comparison_scan,
     evaluate,
     optimal_code,
-    optimal_encoding,
     parallelogram_check,
     s_value,
     sign_matrix,
@@ -63,7 +62,7 @@ def test_signed_direction_sum_examples():
 
 
 def test_optimal_encoding_two_axes():
-    enc = optimal_encoding((X, Y))
+    enc = optimal_code((X, Y)).encodings
     assert enc[0b00] == pytest.approx(np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
     assert enc[0b11] == pytest.approx(np.array([-1.0, -1.0, 0.0]) / math.sqrt(2))
     assert enc.shape == (4, 3)
@@ -71,7 +70,7 @@ def test_optimal_encoding_two_axes():
 
 
 def test_optimal_encoding_three_axes_hits_cube_corners():
-    enc = optimal_encoding((X, Y, Z))
+    enc = optimal_code((X, Y, Z)).encodings
     for bits in itertools.product((0, 1), repeat=3):
         index = bits[0] | bits[1] << 1 | bits[2] << 2  # x1 is bit 0
         expected = np.array([1.0 - 2 * b for b in bits]) / math.sqrt(3)
@@ -83,7 +82,7 @@ def test_neutral_string_gets_fallback_vector():
     ms = (X, X, Y, Y)
     neutrals = evaluate(optimal_code(ms)).neutral_strings
     assert "0101" in neutrals
-    enc = optimal_encoding(ms)
+    enc = optimal_code(ms).encodings
     assert np.array_equal(enc[0b1010], np.asarray(NEUTRAL_FALLBACK))  # x2, x4: bits 1, 3
 
 
@@ -103,9 +102,8 @@ def test_s_value_cost_guard():
 
 def test_every_enumeration_shares_the_cost_guard():
     ms = tuple(Z for _ in range(25))
-    for enumerate_patterns in (optimal_code, optimal_encoding):
-        with pytest.raises(CostLimitError):
-            enumerate_patterns(ms)
+    with pytest.raises(CostLimitError):
+        optimal_code(ms)
     with pytest.raises(CostLimitError):
         classical_comparison_scan([25], 1)
 
@@ -225,7 +223,7 @@ def test_average_matches_norm_sum_identity(rng):
 
 
 def test_qrac_code_validation():
-    enc = optimal_encoding((X, Y))
+    enc = optimal_code((X, Y)).encodings
     with pytest.raises(ValueError, match="encodings must be 2 unit 3-vectors"):
         QracCode(measurements=XYZ[:1], encodings=enc)  # too many rows
     with pytest.raises(ValueError, match="encodings must be 8 unit 3-vectors"):
@@ -253,12 +251,12 @@ def test_qrac_code_validation():
 
 
 def test_code_copies_its_encodings_and_is_read_only():
-    rows = np.array(optimal_encoding((X, Y)))
+    rows = np.array(optimal_code((X, Y)).encodings)
     dirs = XYZ[:2].copy()
     code = QracCode(measurements=dirs, encodings=rows)
     rows[0] = (0.0, 0.0, 1.0)
     dirs[0] = (0.0, 0.0, 1.0)
-    assert np.array_equal(code.encodings, optimal_encoding((X, Y)))
+    assert np.array_equal(code.encodings, optimal_code((X, Y)).encodings)
     assert np.array_equal(code.measurements, XYZ[:2])
     for array in (code.encodings, code.measurements):
         assert not array.flags.writeable
@@ -384,7 +382,6 @@ def test_kernel_matches_per_string_reference(ms):
     points, neutral, total = _per_string_reference(ms)
     code = optimal_code(ms)
     assert code.encodings.tobytes() == points.tobytes()  # bit-equal, signed zeros too
-    assert optimal_encoding(ms).tobytes() == points.tobytes()
     assert s_value(ms) == pytest.approx(total, rel=1e-12)
     report = evaluate(code)
     assert report.neutral_strings == neutral

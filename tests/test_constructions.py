@@ -191,7 +191,10 @@ def test_polyhedron_vertex_counts():
 
 def test_polyhedron_vertices_unit_and_distinct():
     for name in polyhedron_names():
-        vertices = [np.asarray(v) for v in polyhedron_vertices(name)]
+        vertices = polyhedron_vertices(name)
+        assert isinstance(vertices, np.ndarray) and vertices.dtype == float
+        assert vertices.ndim == 2 and vertices.shape[1] == 3
+        assert not vertices.flags.writeable
         for i, a in enumerate(vertices):
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
             for b in vertices[i + 1 :]:
@@ -199,11 +202,12 @@ def test_polyhedron_vertices_unit_and_distinct():
 
 
 def test_polyhedron_name_normalization():
-    assert polyhedron_vertices("Truncated Octahedron") == polyhedron_vertices(
-        "truncated_octahedron"
+    assert np.array_equal(
+        polyhedron_vertices("Truncated Octahedron"), polyhedron_vertices("truncated_octahedron")
     )
-    assert polyhedron_vertices("small-rhombicuboctahedron") == polyhedron_vertices(
-        "small_rhombicuboctahedron"
+    assert np.array_equal(
+        polyhedron_vertices("small-rhombicuboctahedron"),
+        polyhedron_vertices("small_rhombicuboctahedron"),
     )
     with pytest.raises(ValueError):
         polyhedron_vertices("dodecahedron")
@@ -223,10 +227,7 @@ def test_truncated_cube_coordinates():
 def _vertex_histogram(name: str) -> dict[str, dict[int, int]]:
     """Map each string's direction onto the classified polyhedron's vertices."""
     construction = known_construction(name)
-    vertex_sets = {
-        tag: np.array([np.asarray(v) for v in polyhedron_vertices(tag)])
-        for tag in polyhedron_names()
-    }
+    vertex_sets = {tag: polyhedron_vertices(tag) for tag in polyhedron_names()}
     histogram: dict[str, dict[int, int]] = {}
     for index in range(1 << construction.n):
         s = bit_text(index, construction.n)
@@ -261,6 +262,35 @@ def test_classify_qrac9_counts_and_geometry():
     assert sorted(histogram["cube"].values()) == [28] * 8
     assert sorted(histogram["truncated_cube"].values()) == [3] * 24
     assert sorted(histogram["small_rhombicuboctahedron"].values()) == [9] * 24
+
+
+#: The solid a signed sum lands on, by the sorted magnitudes of its integer
+#: coordinates divided by their gcd.
+SOLID_OF_SHAPE = {
+    (1, 1, 1): "cube",
+    (0, 1, 2): "truncated_octahedron",
+    (0, 0, 1): "octahedron",
+    (1, 3, 3): "truncated_cube",
+    (1, 1, 3): "small_rhombicuboctahedron",
+}
+INTEGER_AXES = {
+    "qrac6": [(0, 1, 1), (0, -1, 1), (1, 0, 1), (1, 0, -1), (1, 1, 0), (-1, 1, 0)],
+    "qrac9": [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_AXES))
+def test_classification_matches_integer_signed_sums(name):
+    # the cuboctahedron axes share one length, so the signed sum of the
+    # integer axes points where the signed sum of the unit axes does
+    axes = INTEGER_AXES[name]
+    for index in range(1 << len(axes)):
+        x = bit_text(index, len(axes))
+        total = [sum(a[k] if bit == "0" else -a[k] for a, bit in zip(axes, x)) for k in range(3)]
+        shape = sorted(abs(c) for c in total)
+        divisor = math.gcd(*shape)
+        expected = SOLID_OF_SHAPE[tuple(c // divisor for c in shape)]
+        assert classify_string(name, x) == expected, x
 
 
 def test_classify_examples():

@@ -15,7 +15,7 @@ import pytest
 
 import qrac
 from qrac.bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
-from qrac.codes import QracCode, optimal_encoding
+from qrac.codes import QracCode
 from qrac.constructions import CONSTRUCTIONS
 from qrac.optimizer import OptimizerConfig
 
@@ -135,7 +135,6 @@ BAD_SETS = {
 
 CHECKED_ENTRY_POINTS = {
     **ENTRY_POINTS,
-    "optimal_encoding": optimal_encoding,
     "QracCode": lambda ms: QracCode(ms, np.tile(UNIT, (2, 1))),
 }
 
