@@ -46,17 +46,17 @@ PARALLELOGRAM_TOLERANCE = 1e-8
 #: Sign patterns are processed in blocks of this many rows.
 _CHUNK = 1 << 16
 
+#: Bits 0 .. _SEED_BITS - 1 of every signed sum come from one product with _SEED_SIGNS.
+_SEED_BITS = 8
 
-def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows of signs (-1)^(x_i) for input indices start..stop-1.
 
-    Row k corresponds to input index start + k; column i (0-based) holds +1
-    when bit i of the index is 0 and -1 when it is 1.
-    """
-    if stop is None:
-        stop = 1 << n
-    values = np.arange(start, stop, dtype=np.int64)
-    return 1.0 - 2.0 * ((values[:, None] >> np.arange(n)) & 1)
+def _sign_rows(n: int, rows: int) -> np.ndarray:
+    """(rows, n) table of signs (-1)^(x_i): row x holds -1 in column i when bit i of x is set."""
+    return 1.0 - 2.0 * ((np.arange(rows)[:, None] >> np.arange(n)) & 1)
+
+
+_SEED_SIGNS = _sign_rows(_SEED_BITS, 1 << _SEED_BITS)
+_SEED_SIGNS.setflags(write=False)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -98,16 +98,48 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
 
     Checks n against MAX_SIGN_ENUMERATION on the call, before any work.  The
     other half needs none: S_x' = -S_x for the complement x' = 2^n - 1 - x.
+
+    The bits that vary inside a block are summed once: the first few by one
+    product with _SEED_SIGNS, each later bit k by doubling the table T into
+    T + d_k above T - d_k.  Each block then adds +-d_k for its fixed high bits.
+    So every S_x is added left to right from +0.0, as the OpenBLAS product
+    over the whole sign table adds each row, and is bit-identical to it.  One
+    buffer holds every block: each block is overwritten by the next.
     """
     n = len(dirs)
     if n > MAX_SIGN_ENUMERATION:
         cost = "sign-pattern enumeration visits 2**(n-1) signed sums"
         raise CostLimitError(cost, "n", n, MAX_SIGN_ENUMERATION)
     half = 1 << (n - 1)
+    rows = min(half, _CHUNK)
+    low = rows.bit_length() - 1  # bits 0 .. low - 1 vary inside a block
+    # one block: the seed also takes bit n - 1 (0 in every row), so n <= 8 is the dense product
+    seed = min(n if rows == half else low, _SEED_BITS)
 
     def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        for start in range(0, half, _CHUNK):
-            sums = sign_matrix(n, start, min(start + _CHUNK, half)) @ dirs
+        table = np.empty((rows, 3))
+        size = min(rows, 1 << seed)
+        np.matmul(_SEED_SIGNS[:size, :seed], dirs[:seed], out=table[:size])
+        # Each later bit adds +-d_k to whole runs of `group` rows.  Seen as
+        # (runs, 3 * group) against d_k repeated along a run, an add loops
+        # over up to 96 numbers, not one 3-vector, at a time; the sums agree.
+        group = min(size, 32) if rows > size else 1
+        steps = np.tile(dirs, group)
+        runs = table.reshape(-1, 3 * group)
+        for k in range(seed, low):
+            m = (1 << k) // group
+            np.subtract(runs[:m], steps[k], out=runs[m : 2 * m])
+            runs[:m] += steps[k]
+        sums = table if rows == half else np.empty_like(table)
+        sum_runs = sums.reshape(runs.shape)
+        for start in range(0, half, rows):
+            if sums is not table:
+                sums[...] = table
+            for k in range(max(seed, low), n):
+                if start >> k & 1:
+                    sum_runs -= steps[k]
+                else:
+                    sum_runs += steps[k]
             yield start, sums, _norms(sums)
 
     return blocks()
@@ -189,11 +221,30 @@ def optimal_code(measurements: np.typing.ArrayLike) -> QracCode:
 
 
 def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, p) blocks of _CHUNK rows: p[k, i] is cell (start + k, i)'s clipped probability."""
+    """(start, p) blocks of _CHUNK rows: p[k, i] is cell (start + k, i)'s clipped probability.
+
+    One (rows, n) buffer holds every block: each block is overwritten by the
+    next.  The signs (-1)^(x_i) are applied by multiplying by +-1.0, which is
+    exact: the low bits, which repeat every `cycle` rows, by one table of
+    signs, the others by strided views.
+    """
     n, dirs = code.n, code.measurements
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        block = 0.5 * (1.0 + sign_matrix(n, start, stop) * (code.encodings[start:stop] @ dirs.T))
+    rows = min(1 << n, _CHUNK)
+    low = rows.bit_length() - 1  # bits 0 .. low - 1 vary inside a block
+    cycle = 1 << min(low, _SEED_BITS)
+    signs = _sign_rows(n, cycle)
+    block = np.empty((rows, n))
+    for start in range(0, 1 << n, rows):
+        np.matmul(code.encodings[start : start + rows], dirs.T, out=block)
+        cycles = block.reshape(-1, cycle, n)
+        cycles *= signs
+        for i in range(cycle.bit_length() - 1, n):
+            if i < low:  # rows with bit i set: the second of each pair of 2^i-row runs
+                block.reshape(rows >> (i + 1), 2, 1 << i, n)[:, 1, :, i] *= -1.0
+            elif start >> i & 1:
+                block[:, i] *= -1.0
+        block += 1.0
+        block *= 0.5
         np.clip(block, 0.0, 1.0, out=block)
         yield start, block
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import uniform_directions
-from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, sign_matrix
+from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, _sign_rows
 from .codes import _norm_sum_and_neutral, _unit_rows, probability_from_s_value
 from .errors import CostLimitError
 
@@ -89,7 +89,7 @@ def _seesaw(
     result is bit-identical to running it alone.
     """
     count, n, _ = dirs.shape
-    half = sign_matrix(n, 0, 1 << (n - 1))
+    half = _sign_rows(n, 1 << (n - 1))
     final_dirs, final_s, active = np.empty_like(dirs), np.empty(count), np.arange(count)
     steps, converged = np.full(count, config.max_iterations), np.zeros(count, dtype=bool)
     sums = half @ dirs

@@ -12,7 +12,6 @@ from qrac.codes import (
     QracCode,
     _norm_sum_and_neutral,
     probability_from_s_value,
-    sign_matrix,
 )
 from qrac.optimizer import OptimizerConfig, RestartTrace
 
@@ -22,6 +21,24 @@ def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, 
     return tuple(BlochVector.from_array(row) for row in uniform_directions(n, rng))
 
 
+def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows of signs (-1)^(x_i) for input indices start..stop-1.
+
+    Row k corresponds to input index start + k; column i (0-based) holds +1
+    when bit i of the index is 0 and -1 when it is 1.  The dense reference
+    for the kernels' seed table, doubling and in-place sign flips.
+    """
+    if stop is None:
+        stop = 1 << n
+    values = np.arange(start, stop, dtype=np.int64)
+    return 1.0 - 2.0 * ((values[:, None] >> np.arange(n)) & 1)
+
+
+def reference_signed_sums(dirs: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """S_x for x = start .. stop - 1 as one dense product, the form codes._signed_sums replaced."""
+    return sign_matrix(len(dirs), start, stop) @ dirs
+
+
 def signed_direction_sum(dirs: np.ndarray, x: str) -> np.ndarray:
     """Sum of the (n, 3) direction rows with sign (-1)^(x_i) on the i-th term.
 
@@ -29,8 +46,9 @@ def signed_direction_sum(dirs: np.ndarray, x: str) -> np.ndarray:
 
     The per-string reference for the sign-pattern kernel.  Terms are added one
     by one in position order from +0.0: the order in which an OpenBLAS matrix
-    product over many sign rows accumulates each row, so the two agree bit for
-    bit.
+    product over many sign rows accumulates each row, and the order in which
+    the kernel's seed product and doubling build each sum, so all three agree
+    bit for bit.
     """
     if len(dirs) != len(x):
         raise ValueError(f"string length {len(x)} does not match measurement count {len(dirs)}")

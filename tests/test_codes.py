@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrac import codes
 from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import optimal_classical_probability
 from qrac.codes import (
@@ -26,12 +27,17 @@ from qrac.codes import (
     optimal_code,
     parallelogram_check,
     s_value,
-    sign_matrix,
     upper_bound,
 )
-from qrac.constructions import construction_names, known_code
+from qrac.constructions import construction_names, known_code, known_construction
 from qrac.errors import CostLimitError
-from helpers import random_measurements, reference_evaluate, signed_direction_sum
+from helpers import (
+    random_measurements,
+    reference_evaluate,
+    reference_signed_sums,
+    sign_matrix,
+    signed_direction_sum,
+)
 
 X = BlochVector(1.0, 0.0, 0.0)
 Y = BlochVector(0.0, 1.0, 0.0)
@@ -40,17 +46,67 @@ XYZ = np.eye(3)  # the same three directions as rows
 
 
 def test_sign_matrix_matches_bit_expansion():
-    mat = sign_matrix(3)
-    assert mat.shape == (8, 3)
-    for index in range(8):
-        for pos in range(3):
-            bit = (index >> pos) & 1
-            assert mat[index, pos] == (1.0 if bit == 0 else -1.0)
+    for mat in (sign_matrix(3), codes._sign_rows(3, 8), codes._SEED_SIGNS[:8, :3]):
+        assert mat.shape == (8, 3)
+        for index in range(8):
+            for pos in range(3):
+                bit = (index >> pos) & 1
+                assert mat[index, pos] == (1.0 if bit == 0 else -1.0)
+    assert not codes._SEED_SIGNS.flags.writeable
 
 
 def test_sign_matrix_chunk_slicing():
     full = sign_matrix(4)
     assert np.array_equal(full[5:11], sign_matrix(4, start=5, stop=11))
+    assert np.array_equal(full[:11], codes._sign_rows(4, 11))
+
+
+def _kernel_direction_sets(rng, top):
+    """Named sets, axis sets with signed zeros and cancellations, random sets at n = 1..top."""
+    x, y, z = np.eye(3)
+    for name in construction_names():
+        yield known_construction(name).measurements
+    yield from (np.eye(3), np.array([x, y, z] * 3), np.array([x, -x, y, -y, z, -z]))
+    yield np.array([x, -x, y, -y, z, -z, x, y, -z, z])
+    for n in range(1, top + 1):
+        yield uniform_directions(n, rng)
+
+
+def _assert_signed_sums_match_dense_product(dirs):
+    half, seen = 1 << (len(dirs) - 1), 0
+    for start, sums, norms in codes._signed_sums(dirs):
+        reference = reference_signed_sums(dirs, start, start + len(sums))
+        assert start == seen, len(dirs)
+        assert sums.tobytes() == reference.tobytes(), (len(dirs), start)  # signed zeros too
+        assert norms.tobytes() == codes._norms(reference).tobytes(), (len(dirs), start)
+        seen += len(sums)
+    assert seen == half
+
+
+def test_signed_sums_match_dense_product(rng):
+    # the seed product, the doubling from bit 8 on and the high-bit adds of
+    # n = 18's two blocks must sum every S_x in the dense product's order
+    assert (1 << 17) // _CHUNK == 2 and codes._SEED_BITS == 8
+    for dirs in _kernel_direction_sets(rng, MAX_EVALUATE):
+        _assert_signed_sums_match_dense_product(dirs)
+
+
+@pytest.mark.parametrize("chunk", [4, 16])
+@pytest.mark.parametrize("seed_bits", [2, 8])
+def test_small_blocks_reach_every_kernel_path(monkeypatch, rng, chunk, seed_bits):
+    # small blocks and a short seed reach the doubling, the high-bit adds,
+    # the strided sign flips and the whole-column flips at small n
+    monkeypatch.setattr(codes, "_CHUNK", chunk)
+    monkeypatch.setattr(codes, "_SEED_BITS", seed_bits)
+    for dirs in _kernel_direction_sets(rng, 9):
+        _assert_signed_sums_match_dense_product(dirs)
+        for code in (optimal_code(dirs), QracCode(dirs, uniform_directions(1 << len(dirs), rng))):
+            for start, block in codes._cell_probabilities(code):
+                stop = start + len(block)
+                dots = code.encodings[start:stop] @ code.measurements.T
+                reference = 0.5 * (1.0 + sign_matrix(code.n, start, stop) * dots)
+                np.clip(reference, 0.0, 1.0, out=reference)
+                assert block.tobytes() == reference.tobytes(), (code.n, start)
 
 
 def test_signed_direction_sum_examples():
@@ -199,6 +255,27 @@ def test_evaluate_never_holds_the_whole_table(rng):
         tracemalloc.stop()
     # one (2^n, n) float64 table is 37.7 MB; the dense scoring peaked at 77.7 MB
     assert peak < 8 * n << n
+
+
+def test_n18_kernels_stay_within_measured_memory(rng):
+    # tracemalloc peaks with the doubling and one scoring buffer: 6.0, 6.0,
+    # 13.6 and 9.2 MiB; the dense sign table made them 20.6, 20.6, 28.1, 27.6
+    dirs = uniform_directions(MAX_EVALUATE, rng)
+    code = optimal_code(dirs)
+    bounds = [
+        (s_value, dirs, 8),
+        (parallelogram_check, dirs, 8),
+        (optimal_code, dirs, 16),
+        (evaluate, code, 12),
+    ]
+    for kernel, argument, mib in bounds:
+        tracemalloc.start()
+        try:
+            kernel(argument)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib << 20, (kernel.__name__, peak)
 
 
 def test_per_input_is_built_on_first_read_and_kept():

@@ -15,11 +15,11 @@ import qrac
 from qrac import optimizer
 from qrac.bloch import BlochVector, uniform_directions
 from qrac.bounds import orthogonal_lower_bound
-from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, sign_matrix, upper_bound
+from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, upper_bound
 from qrac.constructions import known_construction
 from qrac.errors import CostLimitError
 from qrac.optimizer import OptimizationReport, OptimizerConfig, optimize, polish
-from helpers import random_measurements, reference_restarts, reference_seesaw
+from helpers import random_measurements, reference_restarts, reference_seesaw, sign_matrix
 
 
 def test_config_defaults_and_validation():
