@@ -28,7 +28,7 @@ from .classical import (
     classical_bounds,
     optimal_classical_probability,
 )
-from .codes import CodeReport, QracCode, _norms, bit_text, evaluate, optimal_code, upper_bound
+from .codes import CodeReport, QracCode, _key_indices, _norms, bit_text, evaluate, optimal_code, upper_bound
 from .constructions import (
     GreatCircleArrangement,
     construction_names,
@@ -123,22 +123,6 @@ def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
     return rows
 
 
-def _key_indices(keys: list[str], n: int) -> np.ndarray:
-    """The row index of every encoding key, parsed as one array (the inverse of bit_text).
-
-    ValueError names the first key, in the given order, that is not n characters 0 or 1.
-    """
-    wrong = np.flatnonzero(np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) != n)
-    whole = int(wrong[0]) if len(wrong) else len(keys)  # the keys before it have n characters
-    # one byte per character; "replace" makes a non-ASCII one "?", which fails the check
-    chars = np.frombuffer("".join(keys[:whole]).encode("ascii", "replace"), dtype=np.uint8)
-    bits = chars - ord("0")  # a wrapped uint8: 0 and 1 only for "0" and "1"
-    bad = (np.flatnonzero(bits > 1)[:1] // n).tolist() + wrong[:1].tolist()
-    if bad:
-        raise ValueError(f"encoding key {keys[bad[0]]!r} is not a string of {n} bits")
-    return sum(bits[i::n].astype(np.int64) << i for i in range(n))
-
-
 def code_from_document(document: dict) -> tuple[QracCode, dict]:
     """Rebuild a code from its JSON form; returns (code, metadata).
 
@@ -170,10 +154,10 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
             try:
                 rows[position] = _vector_from_json(raw, f"encoding {key!r}")
             except ValueError:
-                _key_indices(keys[: position + 1], n)
+                _key_indices(keys[: position + 1], n, "encoding key")
                 raise
     points = np.empty((1 << n, 3))
-    points[_key_indices(keys, n)] = rows
+    points[_key_indices(keys, n, "encoding key")] = rows
     metadata = {} if document.get("metadata") is None else document["metadata"]
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")

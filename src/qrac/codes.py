@@ -50,9 +50,9 @@ _CHUNK = 1 << 16
 _SEED_BITS = 8
 
 
-def _sign_rows(n: int, rows: int) -> np.ndarray:
-    """(rows, n) table of signs (-1)^(x_i): row x holds -1 in column i when bit i of x is set."""
-    return 1.0 - 2.0 * ((np.arange(rows)[:, None] >> np.arange(n)) & 1)
+def _sign_rows(n: int, stop: int, start: int = 0, step: int = 1) -> np.ndarray:
+    """Signs (-1)^(x_i) as rows, one per x in range(start, stop, step): -1 where bit i of x is set."""
+    return 1.0 - 2.0 * ((np.arange(start, stop, step)[:, None] >> np.arange(n)) & 1)
 
 
 _SEED_SIGNS = _sign_rows(_SEED_BITS, 1 << _SEED_BITS)
@@ -99,9 +99,10 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     Checks n against MAX_SIGN_ENUMERATION on the call, before any work.  The
     other half needs none: S_x' = -S_x for the complement x' = 2^n - 1 - x.
 
+    The sums are coordinate-major: block S is (3, rows), column k is S_(start + k).
     The bits that vary inside a block are summed once: the first few by one
     product with _SEED_SIGNS, each later bit k by doubling the table T into
-    T + d_k above T - d_k.  Each block then adds +-d_k for its fixed high bits.
+    T + d_k before T - d_k.  Each block then adds +-d_k for its fixed high bits.
     So every S_x is added left to right from +0.0, as the OpenBLAS product
     over the whole sign table adds each row, and is bit-identical to it.  One
     buffer holds every block: each block is overwritten by the next.
@@ -115,32 +116,26 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
     low = rows.bit_length() - 1  # bits 0 .. low - 1 vary inside a block
     # one block: the seed also takes bit n - 1 (0 in every row), so n <= 8 is the dense product
     seed = min(n if rows == half else low, _SEED_BITS)
+    steps = dirs[:, :, None]  # d_k as a column
 
     def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        table = np.empty((rows, 3))
+        table = np.empty((3, rows))
         size = min(rows, 1 << seed)
-        np.matmul(_SEED_SIGNS[:size, :seed], dirs[:seed], out=table[:size])
-        # Each later bit adds +-d_k to whole runs of `group` rows.  Seen as
-        # (runs, 3 * group) against d_k repeated along a run, an add loops
-        # over up to 96 numbers, not one 3-vector, at a time; the sums agree.
-        group = min(size, 32) if rows > size else 1
-        steps = np.tile(dirs, group)
-        runs = table.reshape(-1, 3 * group)
+        table[:, :size] = (_SEED_SIGNS[:size, :seed] @ dirs[:seed]).T
         for k in range(seed, low):
-            m = (1 << k) // group
-            np.subtract(runs[:m], steps[k], out=runs[m : 2 * m])
-            runs[:m] += steps[k]
+            m = 1 << k
+            np.subtract(table[:, :m], steps[k], out=table[:, m : 2 * m])
+            table[:, :m] += steps[k]
         sums = table if rows == half else np.empty_like(table)
-        sum_runs = sums.reshape(runs.shape)
         for start in range(0, half, rows):
             if sums is not table:
                 sums[...] = table
             for k in range(max(seed, low), n):
                 if start >> k & 1:
-                    sum_runs -= steps[k]
+                    sums -= steps[k]
                 else:
-                    sum_runs += steps[k]
-            yield start, sums, _norms(sums)
+                    sums += steps[k]
+            yield start, sums, _norms(sums.T)  # squares of the transposed view are F-ordered
 
     return blocks()
 
@@ -148,6 +143,22 @@ def _signed_sums(dirs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray
 def bit_text(index: int, n: int) -> str:
     """The n-bit string of a row index as text: character i is bit i, so x1 is leftmost."""
     return format(index, f"0{n}b")[::-1]
+
+
+def _key_indices(keys: list[str], n: int, what: str) -> np.ndarray:
+    """The row index of every n-bit text, parsed as one array (the inverse of bit_text).
+
+    ValueError names the first text, in the given order, that is not n characters 0 or 1.
+    """
+    wrong = np.flatnonzero(np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) != n)
+    whole = int(wrong[0]) if len(wrong) else len(keys)  # the keys before it have n characters
+    # one byte per character; "replace" makes a non-ASCII one "?", which fails the check
+    chars = np.frombuffer("".join(keys[:whole]).encode("ascii", "replace"), dtype=np.uint8)
+    bits = chars - ord("0")  # a wrapped uint8: 0 and 1 only for "0" and "1"
+    bad = (np.flatnonzero(bits > 1)[:1] // n).tolist() + wrong[:1].tolist()
+    if bad:
+        raise ValueError(f"{what} {keys[bad[0]]!r} is not a string of {n} bits")
+    return sum(bits[i::n].astype(np.int64) << i for i in range(n))
 
 
 def _norm_sum_and_neutral(dirs: np.ndarray) -> tuple[float, tuple[str, ...]]:
@@ -209,9 +220,9 @@ def optimal_code(measurements: np.typing.ArrayLike) -> QracCode:
     size = 1 << len(dirs)
     points = np.empty((size, 3))
     for start, sums, norms in blocks:
-        stop = start + len(sums)
+        stop = start + len(norms)
         neutral = norms < NEUTRAL_CUTOFF
-        unit = sums / np.where(neutral, 1.0, norms)[:, None]
+        unit = (sums / np.where(neutral, 1.0, norms)).T
         points[start:stop] = unit
         points[size - stop : size - start] = 0.0 - unit[::-1]  # exact, and no -0.0
         rows = start + np.flatnonzero(neutral)
@@ -224,27 +235,23 @@ def _cell_probabilities(code: QracCode) -> Iterator[tuple[int, np.ndarray]]:
     """(start, p) blocks of _CHUNK rows: p[k, i] is cell (start + k, i)'s clipped probability.
 
     One (rows, n) buffer holds every block: each block is overwritten by the
-    next.  The signs (-1)^(x_i) are applied by multiplying by +-1.0, which is
-    exact: the low bits, which repeat every `cycle` rows, by one table of
-    signs, the others by strided views.
+    next.  The signs (-1)^(x_i) come from two tables: one for the low bits,
+    which repeat every `cycle` rows, and one with a row per cycle for the
+    others.  Multiplying by +-1.0 is exact, and 0.5 + 0.5 * y rounds as
+    0.5 * (1 + y), so the 0.5 rides in the first table.
     """
     n, dirs = code.n, code.measurements
     rows = min(1 << n, _CHUNK)
-    low = rows.bit_length() - 1  # bits 0 .. low - 1 vary inside a block
-    cycle = 1 << min(low, _SEED_BITS)
-    signs = _sign_rows(n, cycle)
+    cycle = min(rows, 1 << _SEED_BITS)
+    halves = 0.5 * _sign_rows(n, cycle)
     block = np.empty((rows, n))
+    cycles = block.reshape(-1, cycle, n)
     for start in range(0, 1 << n, rows):
         np.matmul(code.encodings[start : start + rows], dirs.T, out=block)
-        cycles = block.reshape(-1, cycle, n)
-        cycles *= signs
-        for i in range(cycle.bit_length() - 1, n):
-            if i < low:  # rows with bit i set: the second of each pair of 2^i-row runs
-                block.reshape(rows >> (i + 1), 2, 1 << i, n)[:, 1, :, i] *= -1.0
-            elif start >> i & 1:
-                block[:, i] *= -1.0
-        block += 1.0
-        block *= 0.5
+        cycles *= halves
+        if cycle < 1 << n:  # the low columns of the per-cycle rows are +1
+            cycles *= _sign_rows(n, start + rows, start, cycle)[:, None]
+        block += 0.5
         np.clip(block, 0.0, 1.0, out=block)
         yield start, block
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochVector, state_from_bloch
-from .codes import QracCode, _norm_sum_and_neutral, _norms, _unit_rows, optimal_code, probability_from_s_value
+from .codes import (
+    QracCode,
+    _key_indices,
+    _norm_sum_and_neutral,
+    _norms,
+    _unit_rows,
+    optimal_code,
+    probability_from_s_value,
+)
 from .errors import CostLimitError
 
 #: Golden ratio; vertex coordinate of the icosahedral solids.
@@ -372,7 +380,5 @@ def classify_string(name: str, x: str) -> str:
     if solids is None:
         raise ValueError(f"classification is defined for qrac6 and qrac9, not {name!r}")
     code = known_code(name)
-    if len(x) != code.n or x.strip("01"):
-        raise ValueError(f"{name} strings are {code.n} characters 0 or 1, got {x!r}")
-    point = code.encodings[int(x[::-1], 2)]
+    point = code.encodings[_key_indices([x], code.n, f"{name} input")[0]]
     return next(s for s in solids if (_norms(_POLYHEDRA[s] - point) < CLUSTER_TOLERANCE).any())

@@ -26,7 +26,7 @@ def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
     Row k corresponds to input index start + k; column i (0-based) holds +1
     when bit i of the index is 0 and -1 when it is 1.  The dense reference
-    for the kernels' seed table, doubling and in-place sign flips.
+    for the kernels' seed table, doubling and periodic and per-cycle sign tables.
     """
     if stop is None:
         stop = 1 << n

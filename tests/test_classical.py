@@ -23,8 +23,7 @@ from qrac.classical import (
     MAX_STRATEGY_N,
     optimal_classical_probability,
 )
-from qrac.cli import _key_indices
-from qrac.codes import bit_text
+from qrac.codes import _key_indices, bit_text
 from qrac.errors import CostLimitError
 
 
@@ -172,22 +171,22 @@ def test_bitstring_round_trips():
         texts = [bit_text(index, n) for index in range(1 << n)]
         assert all(len(text) == n and not text.strip("01") for text in texts), n
         assert [int(text[::-1], 2) for text in texts] == list(range(1 << n)), n
-        assert np.array_equal(_key_indices(texts, n), np.arange(1 << n)), n
+        assert np.array_equal(_key_indices(texts, n, "encoding key"), np.arange(1 << n)), n
 
 
 def test_bitstring_text_uses_leftmost_first_bit():
     # x1 is the leftmost character and bit 0 of the index
     assert (bit_text(1, 2), bit_text(6, 4)) == ("10", "0110")
-    assert _key_indices(["10", "01"], 2).tolist() == [1, 2]
-    assert _key_indices(["0110"], 4).tolist() == [6]
+    assert _key_indices(["10", "01"], 2, "encoding key").tolist() == [1, 2]
+    assert _key_indices(["0110"], 4, "encoding key").tolist() == [6]
 
 
 def test_bitstring_validation():
     with pytest.raises(ValueError, match="'01a'"):
-        _key_indices(["010", "01a"], 3)
+        _key_indices(["010", "01a"], 3, "encoding key")
     assert bit_text(4, 2) == "001"  # an index beyond n bits gives a longer text, which
     with pytest.raises(ValueError, match="'001'"):  # the parser refuses
-        _key_indices([bit_text(4, 2)], 2)
+        _key_indices([bit_text(4, 2)], 2, "encoding key")
 
 
 def test_asymptotic_examples():

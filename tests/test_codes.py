@@ -59,6 +59,7 @@ def test_sign_matrix_chunk_slicing():
     full = sign_matrix(4)
     assert np.array_equal(full[5:11], sign_matrix(4, start=5, stop=11))
     assert np.array_equal(full[:11], codes._sign_rows(4, 11))
+    assert np.array_equal(full[4::4], codes._sign_rows(4, 16, 4, 4))
 
 
 def _kernel_direction_sets(rng, top):
@@ -75,12 +76,23 @@ def _kernel_direction_sets(rng, top):
 def _assert_signed_sums_match_dense_product(dirs):
     half, seen = 1 << (len(dirs) - 1), 0
     for start, sums, norms in codes._signed_sums(dirs):
-        reference = reference_signed_sums(dirs, start, start + len(sums))
+        reference = reference_signed_sums(dirs, start, start + len(norms))
         assert start == seen, len(dirs)
-        assert sums.tobytes() == reference.tobytes(), (len(dirs), start)  # signed zeros too
+        assert sums.shape == (3, len(norms)), len(dirs)
+        # signed zeros too
+        assert np.ascontiguousarray(sums.T).tobytes() == reference.tobytes(), (len(dirs), start)
         assert norms.tobytes() == codes._norms(reference).tobytes(), (len(dirs), start)
-        seen += len(sums)
+        seen += len(norms)
     assert seen == half
+
+
+def _assert_cells_match_dense_product(code):
+    for start, block in codes._cell_probabilities(code):
+        stop = start + len(block)
+        dots = code.encodings[start:stop] @ code.measurements.T
+        reference = 0.5 * (1.0 + sign_matrix(code.n, start, stop) * dots)
+        np.clip(reference, 0.0, 1.0, out=reference)
+        assert block.tobytes() == reference.tobytes(), (code.n, start)
 
 
 def test_signed_sums_match_dense_product(rng):
@@ -94,19 +106,21 @@ def test_signed_sums_match_dense_product(rng):
 @pytest.mark.parametrize("chunk", [4, 16])
 @pytest.mark.parametrize("seed_bits", [2, 8])
 def test_small_blocks_reach_every_kernel_path(monkeypatch, rng, chunk, seed_bits):
-    # small blocks and a short seed reach the doubling, the high-bit adds,
-    # the strided sign flips and the whole-column flips at small n
+    # small blocks and a short seed reach the doubling, the high-bit adds and
+    # the per-cycle sign rows at small n
     monkeypatch.setattr(codes, "_CHUNK", chunk)
     monkeypatch.setattr(codes, "_SEED_BITS", seed_bits)
     for dirs in _kernel_direction_sets(rng, 9):
         _assert_signed_sums_match_dense_product(dirs)
-        for code in (optimal_code(dirs), QracCode(dirs, uniform_directions(1 << len(dirs), rng))):
-            for start, block in codes._cell_probabilities(code):
-                stop = start + len(block)
-                dots = code.encodings[start:stop] @ code.measurements.T
-                reference = 0.5 * (1.0 + sign_matrix(code.n, start, stop) * dots)
-                np.clip(reference, 0.0, 1.0, out=reference)
-                assert block.tobytes() == reference.tobytes(), (code.n, start)
+        _assert_cells_match_dense_product(optimal_code(dirs))
+        _assert_cells_match_dense_product(QracCode(dirs, uniform_directions(1 << len(dirs), rng)))
+    # axis directions and +-axis encodings: every dot is exactly 0 or +-1, and the
+    # signs make some zeros -0.0, so the folded 0.5 must give cells of exactly 0, 0.5 and 1
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    for n in (1, 3, 6, 9):
+        code = QracCode(axes[rng.integers(6, size=n)], axes[rng.integers(6, size=1 << n)])
+        _assert_cells_match_dense_product(code)
+        assert set(np.unique(code.encodings @ code.measurements.T)) <= {-1.0, 0.0, 1.0}
 
 
 def test_signed_direction_sum_examples():
