@@ -16,6 +16,9 @@ import numpy as np
 #: Tolerance for unit-norm validation of vectors and states.
 UNIT_TOLERANCE = 1e-12
 
+#: Shortest vector normalized() puts on the sphere: a shorter one is likely a zero left by rounding.
+MIN_NORMALIZABLE_LENGTH = 1e-12
+
 #: Below this value of z + 1 a Bloch vector is treated as the exact south pole
 #: when converting to amplitudes (the amplitude formulas divide by z + 1).
 SOUTH_POLE_CUTOFF = 1e-12
@@ -38,7 +41,7 @@ class BlochVector:
     def normalized(cls, x: float, y: float, z: float) -> BlochVector:
         """Scale a vector onto the unit sphere; rejects near-zero and non-finite input."""
         norm = math.sqrt(x * x + y * y + z * z)
-        if not 1e-12 <= norm < math.inf:
+        if not MIN_NORMALIZABLE_LENGTH <= norm < math.inf:
             raise ValueError(f"cannot normalize a vector of length {norm!r}")
         return cls(x / norm, y / norm, z / norm)
 

@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import takewhile
 
 import numpy as np
 
-from .bloch import UNIT_TOLERANCE, BlochVector
+from .bloch import MIN_NORMALIZABLE_LENGTH, UNIT_TOLERANCE
 from .bounds import (
     ASYMPTOTIC_VALID_FROM,
     orthogonal_lower_bound,
@@ -74,52 +75,54 @@ def code_document(
     return document
 
 
-def _coordinates(raw: object, context: str) -> tuple[float, float, float]:
-    """The three coordinates of a JSON 3-vector as floats; anything else is a ValueError."""
+def _coordinates(raw: object) -> tuple[float, float, float] | None:
+    """The three coordinates of a JSON 3-vector as floats, or None for anything else."""
     # bool is refused too, though float() would make true and false 1.0 and 0.0
     if isinstance(raw, (list, tuple)) and len(raw) == 3 and bool not in map(type, raw):
         try:  # null, a list, a non-numeric string or an int beyond float range
-            x, y, z = (float(c) for c in raw)
-            return x, y, z
+            return tuple(map(float, raw))
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{context}: expected a 3-vector, got {raw!r}")
+    return None
 
 
-def _vector_from_json(raw: object, context: str) -> tuple[float, float, float]:
-    x, y, z = _coordinates(raw, context)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) <= UNIT_TOLERANCE:
-        return x, y, z
-    if abs(norm - 1.0) <= _REJECT_NORM:
-        return x / norm, y / norm, z / norm
-    raise ValueError(f"{context}: vector norm {norm!r} is too far from 1")
-
-
-def _bulk_unit_rows(encodings_raw: dict) -> np.ndarray | None:
-    """All encoding vectors in key order by _vector_from_json's rule, as one array.
-
-    Returns None when any row is not a 3-vector within _REJECT_NORM of unit
-    norm, or holds a JSON true or false; the caller then checks the rows one
-    at a time, so that the error names the first bad key in document order.
-    """
-    raw_rows = list(encodings_raw.values())
+def _json_rows(raw_rows: list) -> np.ndarray:
+    """The rows before the first that is not a 3-vector, as an (m, 3) array; null reads as NaN."""
     try:
         rows = np.array(raw_rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if rows.shape != (len(encodings_raw), 3):
-        return None
-    norm = _norms(rows)
-    deviation = np.abs(norm - 1.0)
-    if not np.all(deviation <= _REJECT_NORM):
-        return None
-    # a bool converts to exactly 0.0 or 1.0, so only rows holding one need a type scan
-    suspects = np.flatnonzero(((rows == 0.0) | (rows == 1.0)).any(axis=1)).tolist()
-    if any(bool in map(type, raw_rows[i]) for i in suspects):
-        return None
-    rescale = deviation > UNIT_TOLERANCE
-    rows[rescale] /= norm[rescale, None]
+        rows = np.empty(0)
+    if rows.shape == (len(raw_rows), 3):
+        # a bool converts to exactly 0.0 or 1.0, so only rows holding one need a type scan
+        suspects = np.flatnonzero(((rows == 0.0) | (rows == 1.0)).any(axis=1)).tolist()
+        return rows[: next((i for i in suspects if bool in map(type, raw_rows[i])), len(rows))]
+    parsed = takewhile(lambda row: row is not None, map(_coordinates, raw_rows))
+    return np.array(list(parsed), dtype=float).reshape(-1, 3)
+
+
+def _checked_json_rows(raw_rows: list, name: Callable, accepts: Callable, refusal: Callable) -> tuple:
+    """(rows, norms) if every row is a 3-vector whose norm `accepts` passes.
+
+    Else a ValueError names the first row that is not, in list order, as name(i),
+    and says why: not a 3-vector, or refusal(norm).
+    """
+    rows = _json_rows(raw_rows)
+    with np.errstate(over="ignore"):  # a norm beyond float range is inf, and refused
+        norms = _norms(rows)
+    first = next(iter(np.flatnonzero(~accepts(norms)).tolist()), len(rows))
+    if first < len(raw_rows):
+        raw = raw_rows[first]  # a null reads as NaN, so the norm rule marks it too
+        reason = refusal(float(norms[first])) if _coordinates(raw) else f"expected a 3-vector, got {raw!r}"
+        raise ValueError(f"{name(first)}: {reason}")
+    return rows, norms
+
+
+def _unit_json_rows(raw_rows: list, name: Callable[[int], str]) -> np.ndarray:
+    """Rows within UNIT_TOLERANCE of unit norm as they are, those within _REJECT_NORM divided by it."""
+    far = "vector norm {!r} is too far from 1".format
+    rows, norms = _checked_json_rows(raw_rows, name, lambda r: np.abs(r - 1.0) <= _REJECT_NORM, far)
+    rescale = np.abs(norms - 1.0) > UNIT_TOLERANCE
+    rows[rescale] /= norms[rescale, None]
     return rows
 
 
@@ -143,19 +146,12 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
         raise ValueError(f"expected {n} measurement vectors")
     if not isinstance(encodings_raw, dict) or len(encodings_raw) != 1 << n:
         raise ValueError(f"expected {1 << n} encodings for n = {n}")
-    measurements = [
-        _vector_from_json(raw, f"measurement {i + 1}") for i, raw in enumerate(measurements_raw)
-    ]
+    measurements = _unit_json_rows(measurements_raw, lambda i: f"measurement {i + 1}")
     keys = list(encodings_raw)
-    rows = _bulk_unit_rows(encodings_raw)
-    if rows is None:  # row by row: the first bad row is named, unless a bad key comes first
-        rows = np.empty((1 << n, 3))
-        for position, (key, raw) in enumerate(encodings_raw.items()):
-            try:
-                rows[position] = _vector_from_json(raw, f"encoding {key!r}")
-            except ValueError:
-                _key_indices(keys[: position + 1], n, "encoding key")
-                raise
+    def encoding(position: int) -> str:
+        _key_indices(keys[: position + 1], n, "encoding key")  # a bad key up to the row comes first
+        return f"encoding {keys[position]!r}"
+    rows = _unit_json_rows(list(encodings_raw.values()), encoding)
     points = np.empty((1 << n, 3))
     points[_key_indices(keys, n, "encoding key")] = rows
     metadata = {} if document.get("metadata") is None else document["metadata"]
@@ -288,16 +284,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _circles_from_file(path: str) -> tuple[BlochVector, ...]:
+def _circles_from_file(path: str) -> np.ndarray:
     raw = _load_json(path)
     if isinstance(raw, dict):
         raw = raw.get("circles")
     if not isinstance(raw, list) or not raw:
         raise ValueError("expected a JSON array of 3-vectors (or an object with a 'circles' array)")
-    return tuple(
-        BlochVector.normalized(*_coordinates(entry, f"circle {index + 1}"))
-        for index, entry in enumerate(raw)
-    )
+    rule = lambda r: (r >= MIN_NORMALIZABLE_LENGTH) & (r < math.inf)  # as in BlochVector.normalized
+    short = "cannot normalize a vector of length {!r}".format
+    rows, norms = _checked_json_rows(raw, lambda i: f"circle {i + 1}", rule, short)
+    return rows / norms[:, None]
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from qrac.bloch import BlochVector, uniform_directions
+from qrac.bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
+from qrac.cli import _REJECT_NORM
 from qrac.codes import (
     NEUTRAL_CUTOFF,
     QracCode,
@@ -19,6 +20,21 @@ from qrac.optimizer import OptimizerConfig, RestartTrace
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, ...]:
     """n measurement directions drawn uniformly on the sphere."""
     return tuple(BlochVector.from_array(row) for row in uniform_directions(n, rng))
+
+
+def reference_json_unit_vector(raw: list) -> tuple[float, float, float]:
+    """One JSON 3-vector of a code document by the CLI's unit rule, one row at a time.
+
+    Kept as it is within UNIT_TOLERANCE of unit norm, divided by its norm within
+    _REJECT_NORM, and refused beyond that: the scalar form of cli._unit_json_rows.
+    """
+    x, y, z = (float(c) for c in raw)
+    norm = math.sqrt(x * x + y * y + z * z)
+    if abs(norm - 1.0) <= UNIT_TOLERANCE:
+        return x, y, z
+    if abs(norm - 1.0) <= _REJECT_NORM:
+        return x / norm, y / norm, z / norm
+    raise ValueError(f"vector norm {norm!r} is too far from 1")
 
 
 def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from qrac.bloch import BlochVector
 from qrac.cli import (
     SCHEMA_VERSION,
-    _vector_from_json,
+    _circles_from_file,
     code_document,
     code_from_document,
     main,
@@ -20,7 +21,7 @@ from qrac.cli import (
 from qrac.codes import evaluate, optimal_code
 from qrac.constructions import MAX_CIRCLES, construction_names, known_code, known_construction
 
-from helpers import random_measurements
+from helpers import random_measurements, reference_json_unit_vector
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -281,16 +282,26 @@ def test_key_order_does_not_change_the_loaded_code():
             assert code.encodings.tobytes() == canonical, document["n"]
 
 
-def test_encoding_rows_load_as_one_at_a_time(rng):
-    # the bulk loader keeps, renormalizes and rejects rows exactly as _vector_from_json does
+def test_encoding_rows_load_as_one_at_a_time(rng, tmp_path):
+    # the array reader keeps, renormalizes and rejects rows exactly as the scalar rule does
     document = code_document(optimal_code(random_measurements(7, rng)))
-    for key, scale in zip(list(document["encodings"])[::9], (1 + 4e-13, 1 - 6e-10, 1 + 3e-11) * 5):
+    scales = (1 + 4e-13, 1 - 6e-10, 1 + 3e-11) * 5
+    for key, scale in zip(list(document["encodings"])[::9], scales):
         document["encodings"][key] = [c * scale for c in document["encodings"][key]]
+    document["measurements"] = [[c * s for c in row] for row, s in zip(document["measurements"], scales)]
     expected = np.empty((1 << 7, 3))
     for key, raw in document["encodings"].items():
-        expected[int(key[::-1], 2)] = _vector_from_json(raw, key)
+        expected[int(key[::-1], 2)] = reference_json_unit_vector(raw)
     code, _ = code_from_document(json.loads(json.dumps(document)))
     assert np.array_equal(code.encodings, expected)
+    measurements = [reference_json_unit_vector(raw) for raw in document["measurements"]]
+    assert code.measurements.tobytes() == np.array(measurements).tobytes()
+    # circle normals of any length are divided by it, as BlochVector.normalized divides one
+    normals = (rng.standard_normal((40, 3)) * rng.uniform(1e-11, 1e3, (40, 1))).tolist()
+    path = tmp_path / "circles.json"
+    path.write_text(json.dumps(normals))
+    expected = np.array([BlochVector.normalized(*row) for row in normals])
+    assert _circles_from_file(str(path)).tobytes() == expected.tobytes()
 
 
 def test_eval_names_the_first_bad_encoding(tmp_path, capsys):
@@ -304,7 +315,7 @@ def test_eval_names_the_first_bad_encoding(tmp_path, capsys):
     assert "encoding '110': vector norm 2.0 is too far from 1" in err
 
 
-def test_load_errors_keep_document_order():
+def test_load_errors_keep_document_order(capsys, tmp_path):
     # keys and rows are checked in one pass: whichever bad entry comes first is named
     document = code_document(known_code("qrac3"))
     encodings = document["encodings"]
@@ -315,6 +326,28 @@ def test_load_errors_keep_document_order():
     document["encodings"] = {"1x1": encodings.pop("1x1"), **encodings}
     with pytest.raises(ValueError, match="encoding key '1x1'"):
         code_from_document(document)
+    # a norm too far from 1 and a row that is not a 3-vector: the first in the list is named
+    far, far_error = [0.0, 0.0, 2.0], "vector norm 2.0 is too far from 1"
+    for other in ([0.0, None, 1.0], [0.0, True, 1.0]):
+        other_error = f"expected a 3-vector, got {other!r}"
+        for first, second, error in ((far, other, far_error), (other, far, other_error)):
+            document = code_document(known_code("qrac3"))
+            document["measurements"][1:] = [first, second]
+            with pytest.raises(ValueError, match=f"^measurement 2: {re.escape(error)}$"):
+                code_from_document(document)
+            document = code_document(known_code("qrac3"))
+            document["encodings"].update({"100": first, "010": second})
+            with pytest.raises(ValueError, match=f"^encoding '100': {re.escape(error)}$"):
+                code_from_document(document)
+    # the same for circles: a zero-length circle and one holding true
+    path = tmp_path / "circles.json"
+    zero, boolean = [0, 0, 0], [0, 0, True]
+    for circles, error in (
+        ([zero, boolean], "cannot normalize a vector of length 0.0"),
+        ([boolean, zero], "expected a 3-vector, got [0, 0, True]"),
+    ):
+        path.write_text(json.dumps([[1, 0, 0], *circles]))
+        assert run(capsys, "regions", "--circles", str(path)) == (2, "", f"error: circle 2: {error}\n")
 
 
 def test_eval_missing_file(capsys, tmp_path):
@@ -506,6 +539,17 @@ def test_regions_rejects_non_finite_normals(capsys, tmp_path, bad):
     assert code == 2
     assert out == ""
     assert "cannot normalize" in err
+
+
+@pytest.mark.parametrize("name", construction_names())
+def test_regions_export_reads_back_as_circles(capsys, tmp_path, name):
+    # an --export file is a {"circles": [...]} object that --circles takes back
+    path = tmp_path / "geometry.json"
+    code, out, err = run(capsys, "regions", "--name", name, "--export", str(path))
+    if code == 2:  # a set with a repeated axis has coinciding circles and no export
+        assert "coincide" in err and not path.exists()
+        return
+    assert run(capsys, "regions", "--circles", str(path)) == (0, out, "")
 
 
 def test_regions_duplicate_circles_rejected(capsys):
