@@ -4,8 +4,10 @@ Both bounds come from picking measurement directions first and encoding
 optimally afterwards, which turns the average probability into the mean
 distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
-directions give a Monte Carlo estimate and a closed-form asymptote;
-axis-aligned directions give an exactly summable lattice walk, evaluated
+directions give a Monte Carlo estimate, walked in cache-sized sub-blocks
+from Philox streams placed at exact word offsets, so its memory does not
+grow with n or the trials; and a closed-form asymptote.
+Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
 by its mirror multiplicity; power-of-two scaling is exact, so the correctly
@@ -33,8 +35,20 @@ ASYMPTOTIC_VALID_FROM = 4
 #: (x//2+1)(y//2+1)(z//2+1) folded terms, about n^3/216 for an even split.
 MAX_LATTICE_WALK = 60
 
-#: Monte Carlo trials are processed in blocks of this many rows.
+#: Hard guard on the steps n * trials of the Monte Carlo walk for n >= 2, the
+#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take about 9 s on one Xeon core,
+#: at n = 2 as at n = 100, and the walk's memory does not grow with them.
+MAX_WALK_STEPS = 10**8
+
+#: Monte Carlo trials are summed in blocks of this many rows.  The lengths of
+#: a block are added by one pairwise `.sum()`, so this size fixes the
+#: summation tree, and changing it changes the estimate's last bits.
 _CHUNK = 1 << 18
+
+#: A block is walked in sub-blocks of max(1, _SUB_FLOATS // n) rows, so each
+#: scratch array holds about this many floats: it bounds the walk's memory
+#: and changes no bit of the estimate.
+_SUB_FLOATS = 1 << 13
 
 
 def _walk_probability(distance: float, n: int) -> float:
@@ -61,11 +75,19 @@ class WalkEstimate:
 def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     """Estimate E||v_1 + ... + v_n|| over uniform unit steps by Monte Carlo.
 
-    Uses a counter-based generator keyed on `seed`; per block of trials, the
-    z coordinates are drawn first (uniform in [-1, 1]), then the azimuths
-    (uniform in [0, 2*pi)).  The reported std_error is the sample standard
-    deviation (ddof = 1) divided by sqrt(trials).  For n = 1 every distance
-    is exactly 1, so the estimate is exact and no randomness is consumed.
+    Uses a counter-based generator keyed on `seed`; per block of _CHUNK
+    trials, the z coordinates are drawn first (uniform in [-1, 1]), then the
+    azimuths (uniform in [0, 2*pi)).  The reported std_error is the sample
+    standard deviation (ddof = 1) divided by sqrt(trials).  For n = 1 every
+    distance is exactly 1, so the estimate is exact and no randomness is
+    consumed.  From n = 2 on, more than MAX_WALK_STEPS steps n * trials
+    raise CostLimitError.
+
+    Each draw is one 64-bit word of Philox(key=seed), so the block of `rows`
+    trials from trial `start` reads its z coordinates from word 2 * n * start
+    and its azimuths from rows * n words later.  Generators placed there
+    (_philox_at) walk it in sub-blocks into one buffer of lengths, summed
+    whole as before: memory is that buffer plus O(_SUB_FLOATS) scratch.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -79,14 +101,22 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if n == 1:
         return WalkEstimate(n=1, mean_distance=1.0, std_error=0.0, trials=trials, seed=seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    if n * trials > MAX_WALK_STEPS:
+        cost = f"Monte Carlo walk of {n} steps per trial over {trials} trials"
+        raise CostLimitError(cost, "steps n * trials", n * trials, MAX_WALK_STEPS)
+    sub_rows = max(1, _SUB_FLOATS // n)
+    lengths = np.empty(min(_CHUNK, trials))
     total = 0.0
     total_sq = 0.0
-    steps = np.empty((min(_CHUNK, trials), n))
     for start in range(0, trials, _CHUNK):
-        block_total, block_sq = _walk_block(rng, steps[: min(_CHUNK, trials - start)])
-        total += block_total
-        total_sq += block_sq
+        block = lengths[: min(_CHUNK, trials - start)]
+        z_stream = _philox_at(seed, 2 * n * start)
+        phi_stream = _philox_at(seed, 2 * n * start + len(block) * n)
+        for sub in range(0, len(block), sub_rows):
+            _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
+        total += float(block.sum())
+        block *= block
+        total_sq += float(block.sum())
     mean = total / trials
     if trials > 1:
         variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -96,31 +126,41 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     return WalkEstimate(n=n, mean_distance=mean, std_error=std_error, trials=trials, seed=seed)
 
 
-def _walk_block(rng: np.random.Generator, steps: np.ndarray) -> tuple[float, float]:
-    """Sum and sum of squares of the lengths of len(steps) walks of n steps.
+def _philox_at(seed: int, word: int) -> np.random.Generator:
+    """A generator whose next draw reads word `word` of Philox(key=seed).
 
-    `steps` is a (rows, n) scratch buffer; the draws are reused in place, so
-    a block holds three (rows, n) arrays and is freed on return.
+    Philox(counter=c) starts at word 4c; the word % 4 words before `word` are skipped.
     """
-    rows, n = steps.shape
-    z = rng.uniform(-1.0, 1.0, size=(rows, n))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=(rows, n))
+    bits = np.random.Philox(key=seed, counter=word // 4)
+    bits.random_raw(word % 4)
+    return np.random.Generator(bits)
+
+
+def _walk_lengths(
+    z_stream: np.random.Generator, phi_stream: np.random.Generator, lengths: np.ndarray, n: int
+) -> None:
+    """Write into `lengths` the endpoint distances of that many n-step walks.
+
+    Row by row, each walk takes n z coordinates from z_stream and n azimuths from phi_stream.
+    """
+    rows = len(lengths)
+    z = z_stream.uniform(-1.0, 1.0, size=(rows, n))
+    phi = phi_stream.uniform(0.0, 2.0 * math.pi, size=(rows, n))
     sum_z = _row_sums(z)
     rho = np.multiply(z, z, out=z)
     np.subtract(1.0, rho, out=rho)
     np.maximum(0.0, rho, out=rho)
     np.sqrt(rho, out=rho)
-    np.cos(phi, out=steps)
+    steps = np.cos(phi)
     steps *= rho
     sum_x = _row_sums(steps)
     np.sin(phi, out=steps)
     steps *= rho
     sum_y = _row_sums(steps)
-    lengths = np.multiply(sum_x, sum_x, out=sum_x)
+    np.multiply(sum_x, sum_x, out=lengths)
     lengths += np.multiply(sum_y, sum_y, out=sum_y)
     lengths += np.multiply(sum_z, sum_z, out=sum_z)
     np.sqrt(lengths, out=lengths)
-    return float(lengths.sum()), float(np.multiply(lengths, lengths, out=sum_y).sum())
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

@@ -93,8 +93,11 @@ def _json_rows(raw_rows: list) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         rows = np.empty(0)
     if rows.shape == (len(raw_rows), 3):
-        # a bool converts to exactly 0.0 or 1.0, so only rows holding one need a type scan
-        suspects = np.flatnonzero(((rows == 0.0) | (rows == 1.0)).any(axis=1)).tolist()
+        # a bool converts to exactly 0.0 or 1.0, so only rows holding one need a type
+        # scan; one test over the whole array spares the row search when none does
+        exact = rows == 0.0
+        exact |= rows == 1.0
+        suspects = np.flatnonzero(exact.any(axis=1)).tolist() if exact.any() else []
         return rows[: next((i for i in suspects if bool in map(type, raw_rows[i])), len(rows))]
     parsed = takewhile(lambda row: row is not None, map(_coordinates, raw_rows))
     return np.array(list(parsed), dtype=float).reshape(-1, 3)
@@ -153,11 +156,15 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
         return f"encoding {keys[position]!r}"
     rows = _unit_json_rows(list(encodings_raw.values()), encoding)
     points = np.empty((1 << n, 3))
-    points[_key_indices(keys, n, "encoding key")] = rows
+    points[_key_indices(keys, n, "encoding key")] = rows  # 2^n distinct n-bit keys: every row
     metadata = {} if document.get("metadata") is None else document["metadata"]
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
-    return QracCode(measurements, points), metadata
+    # rows kept are within UNIT_TOLERANCE and rescaled ones a few ulp from 1,
+    # so QracCode's own norm check could not fail
+    measurements.setflags(write=False)
+    points.setflags(write=False)
+    return QracCode(measurements, points, _checked=True), metadata
 
 
 def _load_json(path: str) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qrac.bounds import (
     MAX_LATTICE_WALK,
     WalkEstimate,
     _axis_terms,
+    _philox_at,
     best_axis_split,
     lattice_walk_distance,
     orthogonal_lower_bound,
@@ -125,6 +127,32 @@ def test_mc_matches_row_reducing_reference_bitwise(n, seed):
         estimate = random_walk_distance_mc(n, trials, seed)
         expected = reference_random_walk_distance_mc(n, trials, seed)
         assert (estimate.mean_distance, estimate.std_error) == expected, (n, trials, seed)
+
+
+def test_philox_at_reads_the_stream_from_any_word():
+    for seed in (0, 2**62 + 1):
+        words = np.random.Philox(key=seed).random_raw((1 << 20) + 12)
+        for word in (0, 1, 2, 3, 4, 5, (1 << 20) + 3):
+            drawn = _philox_at(seed, word).bit_generator.random_raw(9)
+            assert np.array_equal(drawn, words[word : word + 9]), (seed, word)
+
+
+@pytest.mark.parametrize(("n", "trials"), [(2, 10**6), (32, 200_000)])
+def test_mc_memory_does_not_grow_with_n_or_trials(n, trials):
+    # one 2 MiB block of lengths plus sub-block scratch; drawing a whole
+    # block at once took 18 MiB at n = 2 and 151 MiB at n = 32
+    tracemalloc.start()
+    try:
+        random_walk_distance_mc(n, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_mc_guard_spares_the_exact_single_step():
+    # n = 1 consumes no randomness, so no trial count is refused
+    assert random_walk_distance_mc(1, trials=10**12, seed=0).mean_distance == 1.0
 
 
 def test_asymptotic_formula_values():

@@ -18,7 +18,7 @@ from qrac.cli import (
     code_from_document,
     main,
 )
-from qrac.codes import evaluate, optimal_code
+from qrac.codes import QracCode, evaluate, optimal_code
 from qrac.constructions import MAX_CIRCLES, construction_names, known_code, known_construction
 
 from helpers import random_measurements, reference_json_unit_vector
@@ -296,6 +296,9 @@ def test_encoding_rows_load_as_one_at_a_time(rng, tmp_path):
     assert np.array_equal(code.encodings, expected)
     measurements = [reference_json_unit_vector(raw) for raw in document["measurements"]]
     assert code.measurements.tobytes() == np.array(measurements).tobytes()
+    # the loader skips QracCode's norm check: the rows it builds pass it, and are read-only
+    assert QracCode(code.measurements, code.encodings).encodings.tobytes() == code.encodings.tobytes()
+    assert not (code.measurements.flags.writeable or code.encodings.flags.writeable)
     # circle normals of any length are divided by it, as BlochVector.normalized divides one
     normals = (rng.standard_normal((40, 3)) * rng.uniform(1e-11, 1e3, (40, 1))).tolist()
     path = tmp_path / "circles.json"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qrac.bloch import BlochVector
-from qrac.bounds import MAX_LATTICE_WALK, lattice_walk_distance
+from qrac.bounds import MAX_LATTICE_WALK, MAX_WALK_STEPS, lattice_walk_distance, random_walk_distance_mc
 from qrac.classical import (
     MAX_BRUTE_FORCE,
     MAX_CLASSICAL_N,
@@ -68,6 +68,7 @@ GUARDS = [
     ("counting-identity", lambda: counting_identity_check(2001), 2001, MAX_COUNTING_M),
     ("brute-force", lambda: brute_force_optimal(5), 5, MAX_BRUTE_FORCE),
     ("lattice-walk", lambda: lattice_walk_distance(61, 0, 0), 61, MAX_LATTICE_WALK),
+    ("random-walk", lambda: random_walk_distance_mc(10**4, 10**8, 0), 10**12, MAX_WALK_STEPS),
     (
         "circles",
         lambda: GreatCircleArrangement((BlochVector(*NORTH),) * 1001),
@@ -106,6 +107,8 @@ def test_reworded_messages_read_exactly():
     expected = {
         "lattice-walk": "lattice walk of 61 steps sums 31 terms with int64 weights up to 2**61; "
         "x + y + z = 61 exceeds the limit 60",
+        "random-walk": "Monte Carlo walk of 10000 steps per trial over 100000000 trials; "
+        "steps n * trials = 1000000000000 exceeds the limit 100000000",
         "circles": "1001 circles meet in 1001000 intersection points "
         "(24024000 bytes as float64 3-vectors); circles = 1001 exceeds the limit 1000",
         "cell-trials": "simulation runs 2**9 * 9 * 30000 = 138240000 cell-trials; "
