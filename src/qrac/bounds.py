@@ -237,10 +237,11 @@ def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:
     lattice walk; returns (probability, split).  This is the conventional
     axis strategy that tabulated reference values use.  It is not always the
     best axis split — see best_axis_split, which beats it for n = 5, 6, 7 —
-    but it is the one this bound names.
+    but it is the one this bound names.  Above MAX_LATTICE_WALK the walk's
+    guard raises CostLimitError.
     """
-    if not 1 <= n <= MAX_LATTICE_WALK:
-        raise ValueError(f"n must lie in 1..{MAX_LATTICE_WALK}, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     base, extra = divmod(n, 3)
     split = tuple(base + 1 if i < extra else base for i in range(3))
     probability = _walk_probability(lattice_walk_distance(*split), n)
@@ -254,9 +255,10 @@ def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
     (probability, split); among equal maximizers the lexicographically
     smallest split wins.  Perhaps surprisingly, the maximizer is not always
     the even split: (3,1,1), (3,2,1) and (3,3,1) beat it at n = 5, 6, 7.
+    Above MAX_LATTICE_WALK the first walk's guard raises CostLimitError.
     """
-    if not 1 <= n <= MAX_LATTICE_WALK:
-        raise ValueError(f"n must lie in 1..{MAX_LATTICE_WALK}, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     best_probability = -1.0
     best_split = (n, 0, 0)
     for x in range((n + 2) // 3, n + 1):

@@ -229,13 +229,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.kind == "upper":
         print(_format_probability(upper_bound(n)))
     elif args.kind == "random-asymptotic":
+        value = random_lower_bound_asymptotic(n)  # an invalid n is refused before the note
         if n < ASYMPTOTIC_VALID_FROM:
             print(
                 f"note: the asymptotic form is derived for large n; "
                 f"for n = {n} < {ASYMPTOTIC_VALID_FROM} treat it as an approximation",
                 file=sys.stderr,
             )
-        print(_format_probability(random_lower_bound_asymptotic(n)))
+        print(_format_probability(value))
     else:
         probability, split = orthogonal_lower_bound(n)
         print(f"{_format_probability(probability)} ({split[0]},{split[1]},{split[2]})")

@@ -37,9 +37,6 @@ MAX_SIGN_ENUMERATION = 24
 #: per_input, once read, holds them as 8 * n * 2^n bytes of float64 (38 MB at n = 18).
 MAX_EVALUATE = 18
 
-#: Hard guard for the 2^n enumeration in parallelogram_check.
-MAX_PARALLELOGRAM = 20
-
 #: Relative tolerance (times 2^n) for the squared-norm identity check.
 PARALLELOGRAM_TOLERANCE = 1e-8
 
@@ -331,13 +328,11 @@ def parallelogram_check(measurements: np.typing.ArrayLike) -> bool:
     """Verify sum over sign patterns of the squared signed-sum norm equals n*2^n.
 
     The identity holds for any unit vectors because cross terms cancel in
-    pairs; this enumerates the left side and compares within
-    PARALLELOGRAM_TOLERANCE * 2^n.
+    pairs; this enumerates the left side with one kernel pass, under the
+    kernel's guard, and compares within PARALLELOGRAM_TOLERANCE * 2^n.
     """
     dirs = _unit_rows(measurements)
     n = len(dirs)
-    if n > MAX_PARALLELOGRAM:
-        raise CostLimitError("identity check enumerates 2**n terms", "n", n, MAX_PARALLELOGRAM)
     total = 0.0
     for _, sums, _ in _signed_sums(dirs):
         total += float((sums * sums).sum())

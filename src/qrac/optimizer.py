@@ -29,27 +29,29 @@ from .errors import CostLimitError
 MIN_OPTIMIZE_N = 2
 MAX_OPTIMIZE_N = 12
 
+#: A see-saw step is kept only if it raises s by at least this much.  Every
+#: kept step gains, so s never falls, and a set the see-saw stalls on comes
+#: back bit for bit: a converged polish polishes to itself.
+STALL_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the random-restart see-saw search.
 
     Each restart stops at the first see-saw step that raises the norm-sum
-    objective s by less than `tolerance`, or after `max_iterations` steps.
+    objective s by less than STALL_TOLERANCE, or after `max_iterations` steps.
     """
 
     restarts: int = 50
     max_iterations: int = 4000
     seed: int = 0
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class RestartTrace:
     """Outcome of one random start: best objective found and how it ended.
 
     `iterations` counts see-saw steps; `converged` is False when the restart
-    was cut off by `max_iterations` instead of stalling below `tolerance`.
+    was cut off by `max_iterations` instead of stalling below STALL_TOLERANCE.
     """
 
     restart: int
@@ -84,7 +86,7 @@ def _seesaw(
 
     Runs over the sign patterns with x_n = 0 only; the complements add the
     same amounts.  All restarts step together; a step that gains less than
-    `tolerance` is discarded and takes its restart out of the stack, so a
+    STALL_TOLERANCE is discarded and takes its restart out of the stack, so a
     converged result is a fixed point of the next call.  Each restart's
     result is bit-identical to running it alone.
     """
@@ -103,7 +105,7 @@ def _seesaw(
         moved_sums = half @ moved
         moved_norms = _norms(moved_sums)
         moved_s = 2.0 * moved_norms.sum(axis=-1)
-        stalled = moved_s - s < config.tolerance
+        stalled = moved_s - s < STALL_TOLERANCE
         if stalled.any():
             done = active[stalled]
             final_dirs[done], final_s[done] = dirs[stalled], s[stalled]
@@ -173,10 +175,10 @@ def polish(
 ) -> tuple[np.ndarray, float]:
     """Refine a direction set, (n, 3) unit rows, by the see-saw seeded at it.
 
-    Returns a read-only (n, 3) array: the checked copy of the input unless the
-    search raises the norm-sum objective by more than max(tolerance, 1e-12), so
-    a local optimum keeps its frame and a polished set polishes to itself.  The
-    returned probability never falls below the input's by more than 1e-12.
+    Returns the see-saw's own result: a read-only (n, 3) array and the
+    probability of its s.  The see-saw keeps only steps that raise s by at
+    least STALL_TOLERANCE, so the probability never falls below the input's,
+    and a set it stalls on, such as a converged polish, comes back bit for bit.
     """
     if config is None:
         config = OptimizerConfig()
@@ -185,10 +187,7 @@ def polish(
     _check_size(n)
     if n == 1:
         return dirs, 1.0
-    start_s = _norm_sum_and_neutral(dirs)[0]
     stack, s_values, _, _ = _seesaw(dirs[None], config)
-    if float(s_values[0]) - start_s <= max(config.tolerance, 1e-12):
-        return dirs, probability_from_s_value(start_s, n)
     polished = stack[0]
     polished.setflags(write=False)
-    return polished, probability_from_s_value(_norm_sum_and_neutral(polished)[0], n)
+    return polished, probability_from_s_value(float(s_values[0]), n)

@@ -14,7 +14,7 @@ from qrac.codes import (
     _norm_sum_and_neutral,
     probability_from_s_value,
 )
-from qrac.optimizer import OptimizerConfig, RestartTrace
+from qrac.optimizer import STALL_TOLERANCE, OptimizerConfig, RestartTrace
 
 
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, ...]:
@@ -294,7 +294,7 @@ def reference_seesaw(
         moved_sums = half @ moved
         moved_norms = np.linalg.norm(moved_sums, axis=1)
         moved_s = 2.0 * float(moved_norms.sum())
-        if moved_s - s < config.tolerance:
+        if moved_s - s < STALL_TOLERANCE:
             return dirs, s, step, True
         dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
     return dirs, s, config.max_iterations, False

@@ -272,7 +272,7 @@ def test_orthogonal_lower_bound_splits():
 def test_orthogonal_lower_bound_validation():
     with pytest.raises(ValueError):
         orthogonal_lower_bound(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CostLimitError):
         orthogonal_lower_bound(61)
 
 

@@ -101,12 +101,19 @@ def test_bound_random_asymptotic(capsys):
     code, _, err = run(capsys, "bound", "--kind", "random-asymptotic", "--n", "5")
     assert code == 0
     assert err == ""
+    # an invalid n is refused before the small-n note is printed
+    code, out, err = run(capsys, "bound", "--kind", "random-asymptotic", "--n", "0")
+    assert code == 2
+    assert out == "" and err == "error: n must be at least 1, got 0\n"
 
 
 def test_bound_validation_exit_code(capsys):
     code, _, err = run(capsys, "bound", "--kind", "orthogonal", "--n", "61")
+    assert code == 3
+    assert "error:" in err and "exceeds the limit 60" in err
+    code, _, err = run(capsys, "bound", "--kind", "orthogonal", "--n", "0")
     assert code == 2
-    assert "error:" in err
+    assert err == "error: n must be at least 1, got 0\n"
 
 
 # ---------------------------------------------------------------------- code

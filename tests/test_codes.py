@@ -16,6 +16,7 @@ from qrac.bloch import BlochVector, uniform_directions
 from qrac.classical import optimal_classical_probability
 from qrac.codes import (
     MAX_EVALUATE,
+    MAX_SIGN_ENUMERATION,
     NEUTRAL_CUTOFF,
     NEUTRAL_FALLBACK,
     _CHUNK,
@@ -193,13 +194,20 @@ def test_s_value_cauchy_schwarz_cap(rng):
         assert s_value(ms) <= math.sqrt(n) * (1 << n) + 1e-9
 
 
-def test_s_value_rotation_invariant(rng):
-    from scipy.spatial.transform import Rotation
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """A uniform rotation: QR of a Gaussian 3x3, column signs fixed, det = +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
 
+
+def test_s_value_rotation_invariant(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))
         ms = random_measurements(n, rng)
-        rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
+        rot = _random_rotation(rng)
         rotated = tuple(BlochVector.normalized(*(rot @ np.asarray(m))) for m in ms)
         assert s_value(rotated) == pytest.approx(s_value(ms), abs=1e-9)
 
@@ -401,10 +409,15 @@ def test_parallelogram_identity(rng):
         assert parallelogram_check(random_measurements(n, rng))
 
 
-def test_parallelogram_cost_guard():
-    ms = tuple(Z for _ in range(21))
-    with pytest.raises(CostLimitError):
+def test_parallelogram_cost_guard(rng):
+    # one kernel pass, as s_value: the kernel's guard is the only one
+    assert parallelogram_check(uniform_directions(21, rng))
+    ms = tuple(Z for _ in range(MAX_SIGN_ENUMERATION + 1))
+    with pytest.raises(CostLimitError) as info:
         parallelogram_check(ms)
+    assert str(info.value) == (
+        "sign-pattern enumeration visits 2**(n-1) signed sums; n = 25 exceeds the limit 24"
+    )
 
 
 def test_comparison_scan_finds_no_violations():

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from qrac.bloch import BlochVector
-from qrac.bounds import MAX_LATTICE_WALK, MAX_WALK_STEPS, lattice_walk_distance, random_walk_distance_mc
+from qrac.bounds import (
+    MAX_LATTICE_WALK,
+    MAX_WALK_STEPS,
+    best_axis_split,
+    lattice_walk_distance,
+    orthogonal_lower_bound,
+    random_walk_distance_mc,
+)
 from qrac.classical import (
     MAX_BRUTE_FORCE,
     MAX_CLASSICAL_N,
@@ -25,7 +32,6 @@ from qrac.classical import (
 from qrac.cli import build_parser, main
 from qrac.codes import (
     MAX_EVALUATE,
-    MAX_PARALLELOGRAM,
     MAX_SIGN_ENUMERATION,
     QracCode,
     evaluate,
@@ -56,7 +62,7 @@ GUARDS = [
         19,
         MAX_EVALUATE,
     ),
-    ("parallelogram", lambda: parallelogram_check((Z,) * 21), 21, MAX_PARALLELOGRAM),
+    ("parallelogram", lambda: parallelogram_check((Z,) * 25), 25, MAX_SIGN_ENUMERATION),
     ("optimize", lambda: optimize(13, OptimizerConfig(restarts=1)), 13, MAX_OPTIMIZE_N),
     (
         "classical-exact",
@@ -68,6 +74,8 @@ GUARDS = [
     ("counting-identity", lambda: counting_identity_check(2001), 2001, MAX_COUNTING_M),
     ("brute-force", lambda: brute_force_optimal(5), 5, MAX_BRUTE_FORCE),
     ("lattice-walk", lambda: lattice_walk_distance(61, 0, 0), 61, MAX_LATTICE_WALK),
+    ("orthogonal-bound", lambda: orthogonal_lower_bound(61), 61, MAX_LATTICE_WALK),
+    ("best-axis-split", lambda: best_axis_split(61), 61, MAX_LATTICE_WALK),
     ("random-walk", lambda: random_walk_distance_mc(10**4, 10**8, 0), 10**12, MAX_WALK_STEPS),
     (
         "circles",

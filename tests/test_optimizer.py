@@ -15,8 +15,8 @@ import qrac
 from qrac import optimizer
 from qrac.bloch import BlochVector, uniform_directions
 from qrac.bounds import orthogonal_lower_bound
-from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, upper_bound
-from qrac.constructions import known_construction
+from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, probability_from_s_value, s_value, upper_bound
+from qrac.constructions import construction_names, known_construction
 from qrac.errors import CostLimitError
 from qrac.optimizer import OptimizationReport, OptimizerConfig, optimize, polish
 from helpers import random_measurements, reference_restarts, reference_seesaw, sign_matrix
@@ -30,8 +30,6 @@ def test_config_defaults_and_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=-1.0)
 
 
 def test_import_does_not_load_scipy():
@@ -140,6 +138,20 @@ def test_polish_is_monotone(rng):
             # the see-saw output is a fixed point: polishing again changes nothing
             again, again_after = polish(polished)
             assert np.array_equal(again, polished) and again_after == after
+
+
+def test_polish_probability_is_the_kernel_score_of_its_result(rng):
+    # the see-saw's own s is the kernel's s bit for bit (n <= 12 is one block
+    # of the same products and the same pairwise sum), so polish rescores nothing
+    named = [known_construction(name).measurements for name in construction_names()]
+    sets = [ms for ms in named if len(ms) <= 12]
+    sets += [uniform_directions(n, rng) for n in range(2, 13) for _ in range(8)]
+    for ms in sets:
+        polished, probability = polish(ms)
+        assert not polished.flags.writeable
+        assert probability == probability_from_s_value(s_value(polished), len(ms))
+        again, again_probability = polish(polished)
+        assert np.array_equal(again, polished) and again_probability == probability
 
 
 def test_polish_single_measurement_is_trivial():
