@@ -6,7 +6,8 @@ distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate, walked in cache-sized sub-blocks
 from Philox streams placed at exact word offsets, so its memory does not
-grow with n or the trials; and a closed-form asymptote.
+grow with n or the trials, and split over up to four threads, which change
+no bit of it; and a closed-form asymptote.
 Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
@@ -18,6 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +40,9 @@ ASYMPTOTIC_VALID_FROM = 4
 MAX_LATTICE_WALK = 60
 
 #: Hard guard on the steps n * trials of the Monte Carlo walk for n >= 2, the
-#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take about 9 s on one Xeon core,
-#: at n = 2 as at n = 100, and the walk's memory does not grow with them.
+#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take 8-9 s on one Xeon core and
+#: about 5 s on two, at n = 2 as at n = 100, and the walk's memory does not
+#: grow with them.
 MAX_WALK_STEPS = 10**8
 
 #: Monte Carlo trials are summed in blocks of this many rows.  The lengths of
@@ -49,6 +54,10 @@ _CHUNK = 1 << 18
 #: scratch array holds about this many floats: it bounds the walk's memory
 #: and changes no bit of the estimate.
 _SUB_FLOATS = 1 << 13
+
+#: At most this many threads walk one block.  Each holds about 0.3 MB of
+#: sub-block scratch next to the 2 MB buffer of lengths.
+_MAX_WORKERS = 4
 
 
 def _walk_probability(distance: float, n: int) -> float:
@@ -85,9 +94,14 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
 
     Each draw is one 64-bit word of Philox(key=seed), so the block of `rows`
     trials from trial `start` reads its z coordinates from word 2 * n * start
-    and its azimuths from rows * n words later.  Generators placed there
-    (_philox_at) walk it in sub-blocks into one buffer of lengths, summed
-    whole as before: memory is that buffer plus O(_SUB_FLOATS) scratch.
+    and its azimuths from rows * n words later.  The block is split into one
+    contiguous share of whole sub-blocks per worker, as many workers as the
+    CPUs this process may run on, at most _MAX_WORKERS; each places its own
+    generators at its first row (_philox_at) and walks its share into its
+    slice of one buffer of lengths.  The calling thread sums the buffer
+    whole, so the estimate is bit for bit the same for any worker count.
+    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  `seed`
+    must lie in 0..2^64 - 1, for n = 1 too.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -99,21 +113,21 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
         raise ValueError(f"n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
     if n == 1:
         return WalkEstimate(n=1, mean_distance=1.0, std_error=0.0, trials=trials, seed=seed)
     if n * trials > MAX_WALK_STEPS:
         cost = f"Monte Carlo walk of {n} steps per trial over {trials} trials"
         raise CostLimitError(cost, "steps n * trials", n * trials, MAX_WALK_STEPS)
-    sub_rows = max(1, _SUB_FLOATS // n)
+    workers = _walk_workers()
     lengths = np.empty(min(_CHUNK, trials))
     total = 0.0
     total_sq = 0.0
     for start in range(0, trials, _CHUNK):
         block = lengths[: min(_CHUNK, trials - start)]
-        z_stream = _philox_at(seed, 2 * n * start)
-        phi_stream = _philox_at(seed, 2 * n * start + len(block) * n)
-        for sub in range(0, len(block), sub_rows):
-            _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
+        _walk_block(seed, n, start, block, workers)
         total += float(block.sum())
         block *= block
         total_sq += float(block.sum())
@@ -124,6 +138,53 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     else:
         std_error = 0.0
     return WalkEstimate(n=n, mean_distance=mean, std_error=std_error, trials=trials, seed=seed)
+
+
+def _walk_workers() -> int:
+    """Threads that walk a block: the CPUs this process may run on, at most _MAX_WORKERS."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_WORKERS)
+
+
+def _walk_block(seed: int, n: int, start: int, block: np.ndarray, workers: int) -> None:
+    """Write into `block` the lengths of the walks from trial `start` on.
+
+    The block's rows are split into at most `workers` contiguous shares of
+    whole sub-blocks.  Each share places its own z and azimuth generators at
+    its first row, so every length is the same whichever thread walks it.
+    The calling thread walks the first share and threads walk the others;
+    all are joined before this returns, and a worker's error is raised here.
+    """
+    rows = len(block)
+    sub_rows = max(1, _SUB_FLOATS // n)
+    share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
+
+    def walk(lo: int) -> None:
+        z_stream = _philox_at(seed, 2 * n * start + lo * n)
+        phi_stream = _philox_at(seed, 2 * n * start + rows * n + lo * n)
+        for sub in range(lo, min(lo + share, rows), sub_rows):
+            _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
+
+    errors: list[BaseException] = []
+
+    def work(lo: int) -> None:
+        try:
+            walk(lo)
+        except BaseException as error:  # raised again on the calling thread
+            errors.append(error)
+
+    threads: list[threading.Thread] = []
+    try:
+        for lo in range(share, rows, share):
+            thread = threading.Thread(target=work, args=(lo,))
+            thread.start()
+            threads.append(thread)
+        walk(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _philox_at(seed: int, word: int) -> np.random.Generator:

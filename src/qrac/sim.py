@@ -119,26 +119,54 @@ def _word_budget(n: int, trials: int) -> int:
     return trials + (trials + shift_halves + 1) // 2
 
 
+def _rotation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two int32 tables that give a randomized trial its rotated cell y * n + j.
+
+    rot[(d << n) | z] = rot(z, d) * n + d for every shift d below span =
+    2^ceil(log2 n), the rejected ones d >= n included (as y = 0), and
+    wrap[i * span + d] = i - n * [i + d >= n]; their sum is y * n + j.
+    """
+    span = 1 << (n - 1).bit_length()
+    z = np.arange(1 << n)
+    shifts = np.arange(n)[:, None]
+    rot = np.zeros((span, 1 << n), dtype=np.int32)
+    rot[:n] = (((z << shifts) | (z >> (n - shifts))) & ((1 << n) - 1)) * n
+    rot += np.arange(span, dtype=np.int32)[:, None]
+    i = np.arange(n)[:, None]
+    d = np.arange(span)
+    wrap = (i - n * (i + d >= n)).astype(np.int32)
+    return rot.ravel(), wrap.ravel()
+
+
 def _randomized_block(
-    words: np.ndarray, cells: np.ndarray, n: int, trials: int, thresholds: np.ndarray
+    words: np.ndarray,
+    cells: np.ndarray,
+    n: int,
+    trials: int,
+    thresholds: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Successes per cell with the mask and shift, and which cells ran short.
 
-    `thresholds` is indexed by the rotated cell y * n + j.  The rejection
-    rounds run for all cells at once; flat indices keep each gather to one
-    fancy-indexing call.
+    Trial (r, d) of cell (x, i) reads `thresholds` at the rotated cell
+    y * n + j, where z = x ^ r, y is z rotated left by d within n bits and
+    j = (i + d) mod n.  The two _rotation_tables give that index as
+    rot[(d << n) | z] + wrap[i * span + d], so y is never formed, and a
+    short cell's leftover rejected d >= n still indexes inside the table.
+    The target, bit j of y, is bit i of z.  The rejection rounds run for
+    all cells at once; flat indices keep each gather to one call.
     """
     rows_total, width = words.shape
     limit = 2 * (width - trials)  # halves that leave room for the uniforms
     by_cell = words.astype("<u8", copy=False).view("<u4")  # low half first, any byte order
     halves = by_cell.ravel()
     row_start = np.arange(rows_total) * (2 * width)
-    r = (by_cell[:, :trials] >> (32 - n)).astype(np.int64)
+    r = by_cell[:, :trials] >> (32 - n)
     used = np.full(rows_total, trials)
     d = np.zeros_like(r)
     if n > 1:
         shift = 32 - (n - 1).bit_length()
-        d = (by_cell[:, trials : 2 * trials] >> shift).astype(np.int64)
+        d = by_cell[:, trials : 2 * trials] >> shift
         used += trials
         pending = np.flatnonzero(d >= n)
         rows = pending // trials
@@ -158,12 +186,13 @@ def _randomized_block(
     short = used > limit
     start = np.where(short, 0, (used + 1) // 2) + np.arange(rows_total) * width
     k = words.ravel()[start[:, None] + np.arange(trials)] >> 11
-    z = (cells // n)[:, None] ^ r
-    y = ((z << d) | (z >> (n - d))) & ((1 << n) - 1)
-    j = (cells % n)[:, None] + d
-    j[j >= n] -= n
-    target = ((y >> j) & 1).astype(bool)
-    successes = np.count_nonzero((k >= thresholds[y * n + j]) == target, axis=1)
+    rot, wrap = tables
+    position = (cells % n).astype(np.uint32)[:, None]
+    z = np.bitwise_xor(r, (cells // n).astype(np.uint32)[:, None], out=r)
+    index = rot.take((d << n) | z)  # take, unlike [], gathers by uint32 without a cast pass
+    index += wrap.take(position * (len(wrap) // n) + d)
+    target = ((z >> position) & 1).astype(bool)
+    successes = np.count_nonzero((k >= thresholds.take(index)) == target, axis=1)
     return successes, short
 
 
@@ -195,6 +224,7 @@ def simulate_code(
         # p0 of every rotated cell (y, j), with the same per-row product as one trial
         y, j = np.divmod(np.arange(n_cells), n)
         thresholds = _thresholds(0.5 * (1.0 + np.einsum("ij,ij->i", points[y], dirs[j])))
+        tables = _rotation_tables(n)
     else:
         # row x, column i: the cell (x, i); equal bit for bit to one dot product per cell
         thresholds = _thresholds(0.5 * (1.0 + points @ dirs.T).ravel())
@@ -206,13 +236,16 @@ def simulate_code(
     for first in range(0, n_cells, block):
         cells = np.arange(first, min(first + block, n_cells))
         if not randomize:
-            outcomes = (_cell_words(seed, cells, trials) >> 11) >= thresholds[cells, None]
-            successes[cells] = np.count_nonzero(outcomes == targets[cells, None], axis=1)
+            # a cell succeeds on the trials whose outcome is its bit
+            ones = np.count_nonzero(
+                (_cell_words(seed, cells, trials) >> 11) >= thresholds[cells, None], axis=1
+            )
+            successes[cells] = np.where(targets[cells], ones, trials - ones)
             continue
         budget = first_budget
         while cells.size:
             words = _cell_words(seed, cells, budget)
-            counts, short = _randomized_block(words, cells, n, trials, thresholds)
+            counts, short = _randomized_block(words, cells, n, trials, thresholds, tables)
             successes[cells[~short]] = counts[~short]
             cells = cells[short]
             budget *= 2

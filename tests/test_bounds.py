@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrac import bounds
 from qrac.bounds import (
     ASYMPTOTIC_VALID_FROM,
     MAX_LATTICE_WALK,
@@ -115,6 +117,55 @@ def test_mc_validation():
         random_walk_distance_mc(0, trials=10, seed=0)
     with pytest.raises(ValueError):
         random_walk_distance_mc(2, trials=0, seed=0)
+
+
+def test_mc_seed_must_be_a_64_bit_key():
+    # refused before the n = 1 shortcut, as simulate_code refuses it
+    for n in (1, 2):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie in 0..2\\*\\*64 - 1"):
+                random_walk_distance_mc(n, trials=10, seed=seed)
+        with pytest.raises(TypeError):
+            random_walk_distance_mc(n, trials=10, seed=2.5)
+        assert random_walk_distance_mc(n, trials=10, seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(("n", "trials"), [(2, 2**18 + 3), (7, 10_001), (12, 300_001), (32, 5_000)])
+def test_mc_does_not_depend_on_the_worker_count(n, trials, monkeypatch):
+    walk_lengths = bounds._walk_lengths
+    walkers = set()
+
+    def spy(z_stream, phi_stream, lengths, n):
+        walkers.add(threading.get_ident())
+        walk_lengths(z_stream, phi_stream, lengths, n)
+
+    monkeypatch.setattr(bounds, "_walk_lengths", spy)
+    threads_before = threading.active_count()
+    estimates = {}
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(bounds, "_walk_workers", lambda: workers)
+        walkers.clear()
+        estimates[workers] = random_walk_distance_mc(n, trials, seed=17)
+        assert (len(walkers) > 1) == (workers > 1), (workers, len(walkers))
+        assert threading.active_count() == threads_before  # no worker outlives the call
+    assert all(estimate == estimates[1] for estimate in estimates.values()), estimates
+
+
+def test_mc_worker_error_is_raised_after_every_worker_is_joined(monkeypatch):
+    walk_lengths = bounds._walk_lengths
+    main = threading.get_ident()
+
+    def failing(z_stream, phi_stream, lengths, n):
+        if threading.get_ident() != main:
+            raise RuntimeError("worker failed")
+        walk_lengths(z_stream, phi_stream, lengths, n)
+
+    monkeypatch.setattr(bounds, "_walk_lengths", failing)
+    monkeypatch.setattr(bounds, "_walk_workers", lambda: 3)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        random_walk_distance_mc(2, 2**16, seed=0)
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("seed", [0, 2**62 + 1])

@@ -125,6 +125,16 @@ def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
             got = simulate_code(code, trials, 6, randomize=True).frequencies
             assert len(set(budgets)) > 1, (code.n, trials)  # the redraw path ran
             assert np.array_equal(got, reference_simulate_code(code, trials, 6, True)), (code.n, trials)
+    # n = 9 draws shifts up to 15, so a short cell's leftover shifts reach the
+    # rotation table's rejected rows; the reference checks a fixed sample
+    code = known_code("qrac9")
+    cells = _compared_cells(code.n, np.random.default_rng(23))
+    for trials in (1, 7):
+        budgets.clear()
+        got = simulate_code(code, trials, 6, randomize=True).frequencies
+        assert len(set(budgets)) > 1, (code.n, trials)
+        want = reference_simulate_code(code, trials, 6, True, cells.tolist())
+        assert np.array_equal(got.ravel()[cells], want), (code.n, trials)
 
 
 def test_seeds_cover_the_whole_64_bit_range():
