@@ -56,14 +56,20 @@ _SEED_SIGNS = _sign_rows(_SEED_BITS, 1 << _SEED_BITS)
 _SEED_SIGNS.setflags(write=False)
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
+def _norms(
+    vectors: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Lengths over a last axis of size 3, bit-identical to np.linalg.norm.
 
     The squares are added left to right, as numpy's reduction adds them, but in
-    three whole-array adds instead of one slow reduction call per row.
+    whole-array adds instead of one slow reduction call per row.  A caller in a
+    loop may pass `out` for the lengths and `scratch`, shaped like `vectors`,
+    for the squares; the bits are the same either way.
     """
-    squares = vectors * vectors
-    return np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
+    squares = np.multiply(vectors, vectors, out=scratch)
+    lengths = np.add(squares[..., 0], squares[..., 1], out=out)
+    lengths += squares[..., 2]
+    return np.sqrt(lengths, out=lengths)
 
 
 def _unit_rows(

@@ -11,11 +11,15 @@ r_x = S_x / |S_x| for fixed directions, then v_i = normalize(sum_x
 All restarts run as one stacked (R, n, 3) array, in blocks of at most
 codes._CHUNK sign-pattern rows, so memory is bounded for any restart count.
 Stacked matmul makes one GEMM call per restart, so every result is
-bit-identical to running the restarts one at a time.
+bit-identical to running the restarts one at a time.  Those bits are the host
+BLAS kernel's: each kernel adds the 2^(n-1) rows of the pull product in its
+own blocked order, and OpenBLAS kernels differ in the last bits of a step,
+while `qrac optimize --n 2..9` printed the same lines on every kernel tried.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,7 @@ class OptimizerConfig:
 
     Each restart stops at the first see-saw step that raises the norm-sum
     objective s by less than STALL_TOLERANCE, or after `max_iterations` steps.
+    `seed` is any non-negative integer; it seeds numpy's default generator.
     """
 
     restarts: int = 50
@@ -52,6 +57,12 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -89,36 +100,67 @@ def _seesaw(
     STALL_TOLERANCE is discarded and takes its restart out of the stack, so a
     converged result is a fixed point of the next call.  Each restart's
     result is bit-identical to running it alone.
+
+    A step is the two GEMMs and 15 other numpy calls, all writing into
+    buffers allocated once per stack; when restarts leave, the others move to
+    the leading rows and the steps go on in leading slices.  The
+    neutral-sum `where` and the vanished-pull `where=` run only on a step whose
+    min() finds a row that needs them.  The loop keeps half of each s, the sum
+    over x_n = 0, and stalls on a half gain below STALL_TOLERANCE / 2.  That is
+    the full test exactly, since doubling is exact: 2a - 2b < T exactly when
+    a - b < T / 2.  A restart's s is doubled once, when it leaves the stack.
     """
     count, n, _ = dirs.shape
     half = _sign_rows(n, 1 << (n - 1))
+    signs, least = half.T, np.minimum.reduce
     final_dirs, final_s, active = np.empty_like(dirs), np.empty(count), np.arange(count)
     steps, converged = np.full(count, config.max_iterations), np.zeros(count, dtype=bool)
+    dirs = dirs.copy()  # becomes a buffer of later steps
     sums = half @ dirs
     norms = _norms(sums)
-    s = 2.0 * norms.sum(axis=-1)
+    s = norms.sum(axis=-1)  # half of each restart's s
+    spare = [np.empty_like(dirs), np.empty_like(sums), np.empty_like(norms)]
+    encodings, pulls, squares = np.empty_like(sums), np.empty_like(dirs), np.empty_like(dirs)
+    lengths = np.empty(dirs.shape[:2])
     for step in range(1, config.max_iterations + 1):
-        encodings = sums / np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)[..., None]
-        pulls = half.T @ encodings
-        lengths = _norms(pulls)[..., None]
-        moved = np.divide(pulls, lengths, out=dirs.copy(), where=lengths > 0.0)
-        moved_sums = half @ moved
-        moved_norms = _norms(moved_sums)
-        moved_s = 2.0 * moved_norms.sum(axis=-1)
-        stalled = moved_s - s < STALL_TOLERANCE
-        if stalled.any():
+        moved, moved_sums, moved_norms = spare
+        denominators = norms
+        if not least(norms, None) >= NEUTRAL_CUTOFF:  # a NaN norm takes this path too
+            denominators = np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)
+        # coordinate-major views and order="C" give the divide long inner loops
+        np.divide(sums.transpose(2, 0, 1), denominators, out=encodings.transpose(2, 0, 1), order="C")
+        np.matmul(signs, encodings, out=pulls)
+        _norms(pulls, lengths, squares)
+        if least(lengths, None) > 0.0:
+            np.divide(pulls, lengths[..., None], out=moved)
+        else:  # a vanished pull keeps its direction
+            np.copyto(moved, dirs)
+            np.divide(pulls, lengths[..., None], out=moved, where=lengths[..., None] > 0.0)
+        np.matmul(half, moved, out=moved_sums)
+        _norms(moved_sums, moved_norms, encodings)
+        moved_s = np.add.reduce(moved_norms, axis=-1)
+        gains = moved_s - s
+        # a NaN gain makes the min() NaN, which fails >= and takes the mask
+        if not least(gains) >= STALL_TOLERANCE / 2 and (stalled := gains < STALL_TOLERANCE / 2).any():
             done = active[stalled]
-            final_dirs[done], final_s[done] = dirs[stalled], s[stalled]
+            final_dirs[done], final_s[done] = dirs[stalled], 2.0 * s[stalled]
             steps[done], converged[done] = step, True
             going = ~stalled
             active = active[going]
-            moved, moved_sums, moved_norms, moved_s = (
-                moved[going], moved_sums[going], moved_norms[going], moved_s[going]
-            )
-            if active.size == 0:
+            size = active.size
+            if size == 0:
                 return final_dirs, final_s, steps, converged
-        dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
-    final_dirs[active], final_s[active] = dirs, s
+            # the going restarts move to the leading rows of the free buffers,
+            # and the shrunk stack works on leading slices of every buffer
+            for moved_part, free in zip(spare, (dirs, sums, norms)):
+                np.compress(going, moved_part, axis=0, out=free[:size])
+            spare = [moved[:size], moved_sums[:size], moved_norms[:size]]
+            dirs, sums, norms, s = dirs[:size], sums[:size], norms[:size], moved_s[going]
+            encodings, pulls, squares, lengths = encodings[:size], pulls[:size], squares[:size], lengths[:size]
+        else:
+            spare = [dirs, sums, norms]
+            dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
+    final_dirs[active], final_s[active] = dirs, 2.0 * s
     return final_dirs, final_s, steps, converged
 
 

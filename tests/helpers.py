@@ -51,8 +51,17 @@ def sign_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
 
 def reference_signed_sums(dirs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """S_x for x = start .. stop - 1 as one dense product, the form codes._signed_sums replaced."""
-    return sign_matrix(len(dirs), start, stop) @ dirs
+    """S_x for x = start .. stop - 1, each added left to right in position order from +0.0.
+
+    The order signed_direction_sum documents, one whole-column add per position.
+    A BLAS product would add each row in the host kernel's own order, which on
+    some OpenBLAS kernels (Nehalem's, for a few rows) is not this one.
+    """
+    signs = sign_matrix(len(dirs), start, stop)
+    sums = np.zeros((len(signs), 3))
+    for i, direction in enumerate(dirs):
+        sums += signs[:, i, None] * direction
+    return sums
 
 
 def signed_direction_sum(dirs: np.ndarray, x: str) -> np.ndarray:

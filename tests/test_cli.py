@@ -460,6 +460,10 @@ def test_optimize_cost_guard_exit_code(capsys):
 def test_optimize_validation_exit_code(capsys):
     code, _, _ = run(capsys, "optimize", "--n", "1")
     assert code == 2
+    # the config refuses the seed before numpy sees it, and the error names it
+    code, out, err = run(capsys, "optimize", "--n", "3", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 # ------------------------------------------------------------------ simulate

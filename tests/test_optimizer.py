@@ -30,6 +30,10 @@ def test_config_defaults_and_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
+    assert OptimizerConfig(seed=np.int64(3)).seed == 3
+    for seed in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=seed)
 
 
 def test_import_does_not_load_scipy():
@@ -188,6 +192,11 @@ def _assert_matches_reference(starts: np.ndarray, config: OptimizerConfig) -> No
 def test_norms_match_linalg_norm(rng):
     vectors = rng.normal(size=(200_000, 3)) * rng.uniform(0.0, 10.0, size=(200_000, 1))
     assert np.array_equal(optimizer._norms(vectors), np.linalg.norm(vectors, axis=1))
+    # the see-saw's form: a stack of (R, rows, 3), lengths and squares in reused buffers
+    stacked = vectors.reshape(8, -1, 3)
+    lengths, squares = np.empty(stacked.shape[:2]), np.empty_like(stacked)
+    assert optimizer._norms(stacked, lengths, squares) is lengths
+    assert np.array_equal(lengths, np.linalg.norm(stacked, axis=-1))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -220,6 +229,27 @@ def test_stacked_seesaw_matches_reference_on_degenerate_starts():
         _assert_matches_reference(starts, config)
 
 
+def test_stacked_seesaw_takes_both_guarded_branches_in_a_mixed_stack():
+    # at the first step, S_x = 0 for the repeated start and the zero row's pull
+    # is exactly 0, while the stack also holds ordinary starts: the neutral-sum
+    # and vanished-pull branches run for a mixed stack
+    rng = np.random.default_rng(6)
+    x = np.eye(3)[0]
+    starts = np.stack(
+        [np.tile(x, (6, 1)), np.array([np.zeros(3), x, x, x, x, x])]
+        + [uniform_directions(6, rng) for _ in range(2)]
+    )
+    half = sign_matrix(6, 0, 32)
+    sums = half @ starts
+    lengths = np.linalg.norm(sums, axis=-1)
+    assert (lengths[0] == 0.0).any() and lengths[2:].min() >= NEUTRAL_CUTOFF
+    encodings = sums / np.where(lengths < NEUTRAL_CUTOFF, np.inf, lengths)[..., None]
+    pulls = np.linalg.norm(half.T @ encodings, axis=-1)
+    assert pulls[1, 0] == 0.0 and pulls[2:].min() > 0.0
+    for config in (OptimizerConfig(), OptimizerConfig(max_iterations=2)):
+        _assert_matches_reference(starts, config)
+
+
 def test_stacked_seesaw_matches_reference_when_cut_off():
     rng = np.random.default_rng(8)
     starts = np.stack([uniform_directions(4, rng) for _ in range(40)])
@@ -229,6 +259,16 @@ def test_stacked_seesaw_matches_reference_when_cut_off():
         if cap > 1:
             assert converged.any() and not converged.all(), cap
         _assert_matches_reference(starts, config)
+
+
+def test_stacked_seesaw_matches_reference_when_one_restart_runs_on_alone():
+    # seven of these starts stall after 63 to 81 steps, and the eighth runs on
+    # alone, through buffers allocated for the shrunk stack, to step 327
+    rng = np.random.default_rng(1061)
+    starts = np.stack([uniform_directions(4, rng) for _ in range(8)])
+    _, _, steps, converged = optimizer._seesaw(starts, OptimizerConfig())
+    assert converged.all() and np.sort(steps)[-2] < 100 and steps.max() > 300
+    _assert_matches_reference(starts, OptimizerConfig())
 
 
 @pytest.mark.parametrize("n", range(2, 10))
