@@ -113,9 +113,7 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
         raise ValueError(f"n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    seed = _philox_key(seed)
     if n == 1:
         return WalkEstimate(n=1, mean_distance=1.0, std_error=0.0, trials=trials, seed=seed)
     if n * trials > MAX_WALK_STEPS:
@@ -185,6 +183,14 @@ def _walk_block(seed: int, n: int, start: int, block: np.ndarray, workers: int) 
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _philox_key(seed: int) -> int:
+    """`seed` as a Philox key word: TypeError unless an integer, ValueError outside 0..2^64 - 1."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    return seed
 
 
 def _philox_at(seed: int, word: int) -> np.random.Generator:

@@ -260,7 +260,7 @@ class GreatCircleArrangement:
             raise CostLimitError(f"{k} circles meet in {size}", "circles", k, MAX_CIRCLES)
         first, second = np.triu_indices(k, 1)
         cross = np.cross(normals[first], normals[second])
-        lengths = np.linalg.norm(cross, axis=1)
+        lengths = _norms(cross)
         coincident = np.flatnonzero(lengths < COINCIDENT_TOLERANCE)
         if coincident.size:
             i, j = first[coincident[0]], second[coincident[0]]
@@ -300,7 +300,7 @@ def _cluster_labels(points: np.ndarray, tolerance: float) -> np.ndarray:
         near = np.flatnonzero(projection[offset:] - projection[:-offset] < 2.0 * tolerance)
         if not near.size:
             break
-        close = np.linalg.norm(reps[near] - reps[near + offset], axis=1) < tolerance
+        close = _norms(reps[near] - reps[near + offset]) < tolerance
         for i in near[close].tolist():
             ri, rj = find(i), find(i + offset)
             if ri != rj:

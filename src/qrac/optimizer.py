@@ -45,7 +45,8 @@ class OptimizerConfig:
 
     Each restart stops at the first see-saw step that raises the norm-sum
     objective s by less than STALL_TOLERANCE, or after `max_iterations` steps.
-    `seed` is any non-negative integer; it seeds numpy's default generator.
+    `restarts` and `max_iterations` are integers of at least 1; `seed` is any
+    non-negative integer, and it seeds numpy's default generator.
     """
 
     restarts: int = 50
@@ -53,16 +54,18 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, least, rule in (
+            ("restarts", 1, "an integer of at least 1"),
+            ("max_iterations", 1, "an integer of at least 1"),
+            ("seed", 0, "a non-negative integer"),
+        ):
+            value = getattr(self, name)
+            try:
+                valid = operator.index(value) >= least
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ keeps stable across versions.  The words are consumed in a fixed order:
   starting at the first word no half was taken from.  The answer is 1 when
   the uniform is at least the probability p0 of outcome 0.
 
+p0 = (1 + r_x . v_i) / 2, its dot added left to right, x then y then z, from
+rounded products, so its bits are the same on every host.
+
 Without randomization a cell reads only the uniforms.  This is the sequence
 np.random.Generator(Philox(key)) produces for integers(0, 2^n, T),
 rejection rounds of integers(0, 2^b, k) and random(T) in numpy 2.x; the
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _philox_key
 from .codes import QracCode
 from .errors import CostLimitError
 
@@ -81,14 +85,25 @@ class SimReport:
         return float(self.frequencies.max() - self.frequencies.min())
 
 
-def _thresholds(p0: np.ndarray) -> np.ndarray:
-    """Integer form of `uniform >= p0` as `(word >> 11) >= threshold`.
+def _thresholds(code: QracCode) -> np.ndarray:
+    """Integer form of `uniform >= p0` as `(word >> 11) >= threshold`, by cell x * n + i.
 
-    A uniform is k * 2^-53 with k = word >> 11, so the test is k >= p0 * 2^53,
+    Both modes read this one table.  Its dot products are whole-array
+    multiplies and adds on one (2^n, n) buffer, with no BLAS call or
+    reduction, so every host adds them in the module docstring's order.  A
+    uniform is k * 2^-53 with k = word >> 11, so the test is k >= p0 * 2^53,
     exactly k >= ceil(p0 * 2^53).  Clipping p0 to [0, 1] keeps rounding
     residue such as p0 = -1.1e-16 from wrapping in the cast.
     """
-    return np.ceil(np.clip(p0, 0.0, 1.0) * 2.0**53).astype(np.uint64)
+    points, dirs = code.encodings, code.measurements
+    p0 = np.multiply.outer(points[:, 0], dirs[:, 0])
+    p0 += np.multiply.outer(points[:, 1], dirs[:, 1])
+    p0 += np.multiply.outer(points[:, 2], dirs[:, 2])
+    p0 += 1.0
+    p0 *= 0.5
+    np.clip(p0, 0.0, 1.0, out=p0)
+    p0 *= 2.0**53
+    return np.ceil(p0, out=p0).astype(np.uint64).ravel()
 
 
 def _cell_words(seed: int, cells: np.ndarray, count: int) -> np.ndarray:
@@ -206,30 +221,17 @@ def simulate_code(
     and independent of execution order.  `seed` must lie in 0..2^64 - 1.
     Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials.
     """
-    if trials_per_input < 1:
-        raise ValueError(f"trials_per_input must be at least 1, got {trials_per_input}")
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    trials = operator.index(trials_per_input)
+    if trials < 1:
+        raise ValueError(f"trials_per_input must be at least 1, got {trials}")
+    seed = _philox_key(seed)
     n = code.n
-    cell_trials = (1 << n) * n * trials_per_input
-    if cell_trials > MAX_CELL_TRIALS:
-        cost = f"simulation runs 2**{n} * {n} * {trials_per_input} = {cell_trials} cell-trials"
-        raise CostLimitError(cost, "cell-trials", cell_trials, MAX_CELL_TRIALS)
-    dirs = code.measurements
-    points = code.encodings
-    trials = trials_per_input
     n_cells = (1 << n) * n
-    if randomize:
-        # p0 of every rotated cell (y, j), with the same per-row product as one trial
-        y, j = np.divmod(np.arange(n_cells), n)
-        thresholds = _thresholds(0.5 * (1.0 + np.einsum("ij,ij->i", points[y], dirs[j])))
-        tables = _rotation_tables(n)
-    else:
-        # row x, column i: the cell (x, i); equal bit for bit to one dot product per cell
-        thresholds = _thresholds(0.5 * (1.0 + points @ dirs.T).ravel())
-        x, position = np.divmod(np.arange(n_cells), n)
-        targets = ((x >> position) & 1).astype(bool)
+    if n_cells * trials > MAX_CELL_TRIALS:
+        cost = f"simulation runs 2**{n} * {n} * {trials} = {n_cells * trials} cell-trials"
+        raise CostLimitError(cost, "cell-trials", n_cells * trials, MAX_CELL_TRIALS)
+    thresholds = _thresholds(code)
+    tables = _rotation_tables(n) if randomize else None
     successes = np.empty(n_cells, dtype=np.int64)
     block = max(1, _BLOCK_CELL_TRIALS // trials)
     first_budget = _word_budget(n, trials)
@@ -240,7 +242,8 @@ def simulate_code(
             ones = np.count_nonzero(
                 (_cell_words(seed, cells, trials) >> 11) >= thresholds[cells, None], axis=1
             )
-            successes[cells] = np.where(targets[cells], ones, trials - ones)
+            x, position = np.divmod(cells, n)
+            successes[cells] = np.where((x >> position) & 1, ones, trials - ones)
             continue
         budget = first_budget
         while cells.size:
@@ -251,7 +254,7 @@ def simulate_code(
             budget *= 2
     return SimReport(
         n=n,
-        trials_per_input=trials_per_input,
+        trials_per_input=trials,
         seed=seed,
         randomized=randomize,
         frequencies=(successes / trials).reshape(1 << n, n),

@@ -98,10 +98,19 @@ def reference_evaluate(
     return per_input, float(per_input.mean()), float(per_input.min()), s, neutral
 
 
-def reference_plain_p0(code: QracCode) -> np.ndarray:
-    """The per-cell loop that built the plain-mode p0 table, in cell order x * n + i."""
-    points, dirs = code.encodings, code.measurements
-    return np.array([0.5 * (1.0 + float(point @ v)) for point in points for v in dirs])
+def reference_thresholds(code: QracCode) -> np.ndarray:
+    """The per-cell loop of simulate_code's p0 table, in cell order x * n + i.
+
+    p0 = (1 + ((px*vx + py*vy) + pz*vz)) / 2 in Python floats, with no BLAS
+    and no numpy reduction; then clipped to [0, 1], scaled by 2^53 and
+    rounded up, the threshold a uniform's 53-bit integer is compared with.
+    """
+    table = []
+    for px, py, pz in code.encodings.tolist():
+        for vx, vy, vz in code.measurements.tolist():
+            p0 = 0.5 * (1.0 + ((px * vx + py * vy) + pz * vz))
+            table.append(math.ceil(min(max(p0, 0.0), 1.0) * 2.0**53))
+    return np.array(table, dtype=np.uint64)
 
 
 def bloch_from_angles(theta: float, phi: float) -> BlochVector:

@@ -30,6 +30,11 @@ def test_config_defaults_and_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
+    for field in ("restarts", "max_iterations"):
+        for value in (2.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+                OptimizerConfig(**{field: value})
+        assert getattr(OptimizerConfig(**{field: np.int64(2)}), field) == 2
     assert OptimizerConfig(seed=np.int64(3)).seed == 3
     for seed in (-1, 2.5, "3", None):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

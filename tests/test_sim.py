@@ -15,7 +15,7 @@ from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
 from qrac.sim import MAX_CELL_TRIALS, SimReport, simulate_code
 
-from helpers import random_measurements, reference_plain_p0, reference_simulate_code
+from helpers import random_measurements, reference_simulate_code, reference_thresholds
 
 X = BlochVector(1.0, 0.0, 0.0)
 Z = BlochVector(0.0, 0.0, 1.0)
@@ -46,6 +46,10 @@ def test_report_fields_and_accessor():
 def test_trials_validation():
     with pytest.raises(ValueError):
         simulate_code(known_code("qrac2"), trials_per_input=0, seed=0)
+    for trials in (10.0, 1e9, "10"):  # checked as an integer before any cost is stated
+        with pytest.raises(TypeError):
+            simulate_code(known_code("qrac2"), trials_per_input=trials, seed=0)
+    assert simulate_code(known_code("qrac2"), np.int64(3), 0).trials_per_input == 3
 
 
 def _reference_codes() -> dict[str, QracCode]:
@@ -83,26 +87,76 @@ def test_frequencies_match_reference_loop(label):
                 assert np.array_equal(got.ravel()[cells], want), (trials, seed, randomize)
 
 
-class _StopAfterThresholds(Exception):
+class _StopBeforeTrials(Exception):
     pass
+
+
+def _p0_tables(code: QracCode, randomize: bool, monkeypatch) -> tuple[list, list]:
+    """The p0 tables one run builds, and the one its first randomized block reads.
+
+    The run stops before its first trial: at the first block of cell words in
+    plain mode, at the first block of trials in randomized mode.
+    """
+    built, read = [], []
+    thresholds = sim._thresholds
+
+    def build(code):
+        built.append(thresholds(code))
+        return built[-1]
+
+    def stop(*args):
+        read.append(args[4] if randomize else None)
+        raise _StopBeforeTrials
+
+    monkeypatch.setattr(sim, "_thresholds", build)
+    monkeypatch.setattr(sim, "_randomized_block" if randomize else "_cell_words", stop)
+    with pytest.raises(_StopBeforeTrials):
+        simulate_code(code, 1, 0, randomize=randomize)
+    monkeypatch.undo()
+    return built, read
 
 
 @pytest.mark.parametrize(
     "label", list(construction_names()) + [k for k in REFERENCE_CODES if k.startswith("random")]
 )
 def test_plain_p0_table_matches_per_cell_loop(label, monkeypatch):
-    # one matrix product must give each cell the bits of its own dot product
+    # each cell's dot is added in the stated order, without BLAS, on every host
     code = known_code(label) if label in construction_names() else REFERENCE_CODES[label]
-    seen = []
+    built, _ = _p0_tables(code, False, monkeypatch)
+    assert len(built) == 1
+    assert np.array_equal(built[0], reference_thresholds(code))
 
-    def capture(p0):
-        seen.append(p0)
-        raise _StopAfterThresholds
 
-    monkeypatch.setattr(sim, "_thresholds", capture)
-    with pytest.raises(_StopAfterThresholds):
-        simulate_code(code, 1, 0)
-    assert np.array_equal(seen[0], reference_plain_p0(code))
+@pytest.mark.parametrize("label", ["qrac3", "sym6", "qrac9", "random11"])
+def test_p0_table_is_one_table_for_both_modes(label, monkeypatch):
+    # the randomized trials read the very table the run built once, the plain one's bits
+    code = known_code(label) if label in construction_names() else REFERENCE_CODES[label]
+    plain, _ = _p0_tables(code, False, monkeypatch)
+    built, read = _p0_tables(code, True, monkeypatch)
+    assert len(built) == 1 and read[0] is built[0]
+    assert np.array_equal(built[0], plain[0])
+    assert np.array_equal(built[0], reference_thresholds(code))
+
+
+def test_setup_memory_stays_below_40_bytes_per_cell(monkeypatch):
+    # the one p0 table, plus the rotation tables when randomized, before any
+    # trial runs: about 17 bytes per cell plain and 29 randomized
+    code = optimal_code(random_measurements(14, np.random.default_rng(24)))
+    cells = (1 << 14) * 14
+
+    def stop(*args):
+        raise _StopBeforeTrials
+
+    monkeypatch.setattr(sim, "_cell_words", stop)
+    for randomize in (False, True):
+        tracemalloc.start()
+        try:
+            with pytest.raises(_StopBeforeTrials):
+                simulate_code(code, 1, 0, randomize=randomize)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * cells, (randomize, peak / cells)
 
 
 def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
