@@ -100,8 +100,8 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     generators at its first row (_philox_at) and walks its share into its
     slice of one buffer of lengths.  The calling thread sums the buffer
     whole, so the estimate is bit for bit the same for any worker count.
-    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  `seed`
-    must lie in 0..2^64 - 1, for n = 1 too.
+    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  No argument
+    may be a bool; `seed` must lie in 0..2^64 - 1, for n = 1 too.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -109,6 +109,7 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     splits a row over eight accumulators, so `.sum(axis=1)` is kept there.
     The lengths are sqrt((x^2 + y^2) + z^2), np.linalg.norm's order.
     """
+    n, trials = _integer(n), _integer(trials)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if trials < 1:
@@ -185,9 +186,16 @@ def _walk_block(seed: int, n: int, start: int, block: np.ndarray, workers: int) 
         raise errors[0]
 
 
+def _integer(value: int) -> int:
+    """`value` by operator.index, which refuses a float; a bool is refused too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _philox_key(seed: int) -> int:
     """`seed` as a Philox key word: TypeError unless an integer, ValueError outside 0..2^64 - 1."""
-    seed = operator.index(seed)
+    seed = _integer(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
     return seed

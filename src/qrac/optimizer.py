@@ -12,19 +12,20 @@ All restarts run as one stacked (R, n, 3) array, in blocks of at most
 codes._CHUNK sign-pattern rows, so memory is bounded for any restart count.
 Stacked matmul makes one GEMM call per restart, so every result is
 bit-identical to running the restarts one at a time.  Those bits are the host
-BLAS kernel's: each kernel adds the 2^(n-1) rows of the pull product in its
-own blocked order, and OpenBLAS kernels differ in the last bits of a step,
-while `qrac optimize --n 2..9` printed the same lines on every kernel tried.
+BLAS kernel's, as `evaluate`'s cells are (codes names those no kernel changes):
+each kernel adds the 2^(n-1) rows of the pull product in its own blocked order,
+and OpenBLAS kernels differ in the last bits of a step, while the six printed
+decimals of `qrac optimize --n 2..9` matched on every kernel tried.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import uniform_directions
+from .bounds import _integer
 from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, _sign_rows
 from .codes import _norm_sum_and_neutral, _unit_rows, probability_from_s_value
 from .errors import CostLimitError
@@ -38,30 +39,32 @@ MAX_OPTIMIZE_N = 12
 #: back bit for bit: a converged polish polishes to itself.
 STALL_TOLERANCE = 1e-10
 
+#: A restart that has not stalled after this many see-saw steps is cut off.
+MAX_ITERATIONS = 4000
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the random-restart see-saw search.
+    """Knobs for the random-restart see-saw search: the CLI's two flags.
 
     Each restart stops at the first see-saw step that raises the norm-sum
-    objective s by less than STALL_TOLERANCE, or after `max_iterations` steps.
-    `restarts` and `max_iterations` are integers of at least 1; `seed` is any
-    non-negative integer, and it seeds numpy's default generator.
+    objective s by less than STALL_TOLERANCE, or after MAX_ITERATIONS steps;
+    both are module constants, and passing a step cap here is a TypeError.
+    `restarts` is an integer of at least 1 and `seed` any non-negative
+    integer, which seeds numpy's default generator; a bool is neither.
     """
 
     restarts: int = 50
-    max_iterations: int = 4000
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name, least, rule in (
             ("restarts", 1, "an integer of at least 1"),
-            ("max_iterations", 1, "an integer of at least 1"),
             ("seed", 0, "a non-negative integer"),
         ):
             value = getattr(self, name)
             try:
-                valid = operator.index(value) >= least
+                valid = _integer(value) >= least
             except TypeError:
                 valid = False
             if not valid:
@@ -72,8 +75,8 @@ class OptimizerConfig:
 class RestartTrace:
     """Outcome of one random start: best objective found and how it ended.
 
-    `iterations` counts see-saw steps; `converged` is False when the restart
-    was cut off by `max_iterations` instead of stalling below STALL_TOLERANCE.
+    `iterations` counts see-saw steps; `converged` is False when the restart hit
+    the cap MAX_ITERATIONS, a module constant and no longer a config field.
     """
 
     restart: int
@@ -93,16 +96,15 @@ class OptimizationReport:
     best_restart: int
 
 
-def _seesaw(
-    dirs: np.ndarray, config: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _seesaw(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """See-saw from a stack of R starts (R, n, 3): (directions, s, steps, converged).
 
     Runs over the sign patterns with x_n = 0 only; the complements add the
     same amounts.  All restarts step together; a step that gains less than
     STALL_TOLERANCE is discarded and takes its restart out of the stack, so a
     converged result is a fixed point of the next call.  Each restart's
-    result is bit-identical to running it alone.
+    result is bit-identical to running it alone.  A restart is cut off after
+    MAX_ITERATIONS steps; both stop rules are read from the module per call.
 
     A step is the two GEMMs and 15 other numpy calls, all writing into
     buffers allocated once per stack; when restarts leave, the others move to
@@ -117,7 +119,7 @@ def _seesaw(
     half = _sign_rows(n, 1 << (n - 1))
     signs, least = half.T, np.minimum.reduce
     final_dirs, final_s, active = np.empty_like(dirs), np.empty(count), np.arange(count)
-    steps, converged = np.full(count, config.max_iterations), np.zeros(count, dtype=bool)
+    steps, converged = np.full(count, MAX_ITERATIONS), np.zeros(count, dtype=bool)
     dirs = dirs.copy()  # becomes a buffer of later steps
     sums = half @ dirs
     norms = _norms(sums)
@@ -125,7 +127,7 @@ def _seesaw(
     spare = [np.empty_like(dirs), np.empty_like(sums), np.empty_like(norms)]
     encodings, pulls, squares = np.empty_like(sums), np.empty_like(dirs), np.empty_like(dirs)
     lengths = np.empty(dirs.shape[:2])
-    for step in range(1, config.max_iterations + 1):
+    for step in range(1, MAX_ITERATIONS + 1):
         moved, moved_sums, moved_norms = spare
         denominators = norms
         if not least(norms, None) >= NEUTRAL_CUTOFF:  # a NaN norm takes this path too
@@ -199,7 +201,7 @@ def optimize(
     best_s = -np.inf
     for first in range(0, config.restarts, block):
         starts = [uniform_directions(n, rng) for _ in range(min(block, config.restarts - first))]
-        dirs, s_values, steps, converged = _seesaw(np.stack(starts), config)
+        dirs, s_values, steps, converged = _seesaw(np.stack(starts))
         traces.extend(
             RestartTrace(
                 first + k, s, probability_from_s_value(s, n), int(steps[k]), bool(converged[k])
@@ -215,24 +217,22 @@ def optimize(
     return best_dirs, probability_from_s_value(_norm_sum_and_neutral(best_dirs)[0], n), report
 
 
-def polish(
-    measurements: np.typing.ArrayLike, config: OptimizerConfig | None = None
-) -> tuple[np.ndarray, float]:
+def polish(measurements: np.typing.ArrayLike) -> tuple[np.ndarray, float]:
     """Refine a direction set, (n, 3) unit rows, by the see-saw seeded at it.
 
     Returns the see-saw's own result: a read-only (n, 3) array and the
     probability of its s.  The see-saw keeps only steps that raise s by at
     least STALL_TOLERANCE, so the probability never falls below the input's,
     and a set it stalls on, such as a converged polish, comes back bit for bit.
+    It runs at most MAX_ITERATIONS steps and takes no config: `polish(ms, config)`
+    is a TypeError.
     """
-    if config is None:
-        config = OptimizerConfig()
     dirs = _unit_rows(measurements)
     n = len(dirs)
     _check_size(n)
     if n == 1:
         return dirs, 1.0
-    stack, s_values, _, _ = _seesaw(dirs[None], config)
+    stack, s_values, _, _ = _seesaw(dirs[None])
     polished = stack[0]
     polished.setflags(write=False)
     return polished, probability_from_s_value(float(s_values[0]), n)

@@ -5,8 +5,8 @@ direction for the requested position, and checks the answer.  With
 randomization on, both parties first mask the input with a shared uniform
 n-bit string and a shared uniform cyclic shift; the deterministic code then
 sees a uniform effective input, so every (input, position) cell estimates
-the same value — the deterministic code's average.  A run costs
-2^n * n * trials cell-trials and is refused above MAX_CELL_TRIALS.
+the same value — the deterministic code's average.  A run is refused above
+MAX_CELLS cells 2^n * n, or MAX_CELL_TRIALS cell-trials 2^n * n * trials.
 
 Stream contract.  Every cell reads its own Philox4x64-10 stream, keyed by the
 two 64-bit words (seed, x_index * n + position) with counter 0, so a report
@@ -35,18 +35,22 @@ simulator reproduces it from raw words without calling Generator methods.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _philox_key
+from .bounds import _integer, _philox_key
 from .codes import QracCode
 from .errors import CostLimitError
 
 #: Hard guard on 2^n * n * trials_per_input, the cell-trials of one run; the
 #: largest run in the tests is qrac6 at 100,000 trials (3.84e7 cell-trials).
 MAX_CELL_TRIALS = 10**8
+
+#: Hard guard on the 2^n * n cells of one run (n <= 16), checked before any
+#: table is built: the p0 table holds 8 bytes a cell, and the randomized
+#: rotation table 4 * 2^ceil(log2 n) / n more.
+MAX_CELLS = 1 << 20
 
 #: Cells are simulated together in blocks of at most this many cell-trials
 #: (one cell per block when trials_per_input is larger), which bounds the
@@ -143,10 +147,9 @@ def _rotation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     span = 1 << (n - 1).bit_length()
     z = np.arange(1 << n)
-    shifts = np.arange(n)[:, None]
-    rot = np.zeros((span, 1 << n), dtype=np.int32)
-    rot[:n] = (((z << shifts) | (z >> (n - shifts))) & ((1 << n) - 1)) * n
-    rot += np.arange(span, dtype=np.int32)[:, None]
+    rot = np.empty((span, 1 << n), dtype=np.int32)
+    for d, row in enumerate(rot):  # one shift at a time: no (n, 2^n) int64 temporaries
+        row[:] = (((z << d) | (z >> (n - d))) & ((1 << n) - 1)) * n + d if d < n else d
     i = np.arange(n)[:, None]
     d = np.arange(span)
     wrap = (i - n * (i + d >= n)).astype(np.int32)
@@ -221,12 +224,16 @@ def simulate_code(
     and independent of execution order.  `seed` must lie in 0..2^64 - 1.
     Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials.
     """
-    trials = operator.index(trials_per_input)
+    trials = _integer(trials_per_input)
     if trials < 1:
         raise ValueError(f"trials_per_input must be at least 1, got {trials}")
     seed = _philox_key(seed)
     n = code.n
     n_cells = (1 << n) * n
+    if n_cells > MAX_CELLS:
+        rotations = 4 << n << (n - 1).bit_length() if randomize else 0
+        cost = f"simulation holds {8 * n_cells + rotations} bytes of tables for 2**{n} * {n} cells"
+        raise CostLimitError(cost, "cells", n_cells, MAX_CELLS)
     if n_cells * trials > MAX_CELL_TRIALS:
         cost = f"simulation runs 2**{n} * {n} * {trials} = {n_cells * trials} cell-trials"
         raise CostLimitError(cost, "cell-trials", n_cells * trials, MAX_CELL_TRIALS)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from qrac import optimizer
 from qrac.bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
 from qrac.cli import _REJECT_NORM
 from qrac.codes import (
@@ -292,19 +293,19 @@ def reference_simulate_code(
     return result.reshape(1 << n, n) if cells is None else result
 
 
-def reference_seesaw(
-    dirs: np.ndarray, config: OptimizerConfig
-) -> tuple[np.ndarray, float, int, bool]:
+def reference_seesaw(dirs: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
     """The one-restart see-saw loop that the stacked optimizer._seesaw replaced.
 
-    Returns (directions, s, steps, converged) for one (n, 3) start.
+    Returns (directions, s, steps, converged) for one (n, 3) start; the step
+    cap is optimizer.MAX_ITERATIONS, read at call time.
     """
     n = len(dirs)
     half = sign_matrix(n, 0, 1 << (n - 1))
     sums = half @ dirs
     norms = np.linalg.norm(sums, axis=1)
     s = 2.0 * float(norms.sum())
-    for step in range(1, config.max_iterations + 1):
+    cap = optimizer.MAX_ITERATIONS
+    for step in range(1, cap + 1):
         encodings = sums / np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)[:, None]
         pulls = half.T @ encodings
         lengths = np.linalg.norm(pulls, axis=1)[:, None]
@@ -315,7 +316,7 @@ def reference_seesaw(
         if moved_s - s < STALL_TOLERANCE:
             return dirs, s, step, True
         dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
-    return dirs, s, config.max_iterations, False
+    return dirs, s, cap, False
 
 
 def reference_restarts(
@@ -330,7 +331,7 @@ def reference_restarts(
     traces = []
     best_dirs, best_s = np.empty((n, 3)), -np.inf
     for restart in range(config.restarts):
-        dirs, s, iterations, converged = reference_seesaw(uniform_directions(n, rng), config)
+        dirs, s, iterations, converged = reference_seesaw(uniform_directions(n, rng))
         traces.append(
             RestartTrace(restart, s, probability_from_s_value(s, n), iterations, converged)
         )

@@ -117,6 +117,11 @@ def test_mc_validation():
         random_walk_distance_mc(0, trials=10, seed=0)
     with pytest.raises(ValueError):
         random_walk_distance_mc(2, trials=0, seed=0)
+    # integers only: a bool is not read as n = 1, nor a float passed to numpy
+    for n, trials in ((True, 10), (2.0, 10), (2, True), (2, 10.0), (np.True_, 10)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            random_walk_distance_mc(n, trials=trials, seed=0)
+    assert random_walk_distance_mc(np.int64(2), trials=np.int64(10), seed=0).trials == 10
 
 
 def test_mc_seed_must_be_a_64_bit_key():
@@ -125,8 +130,9 @@ def test_mc_seed_must_be_a_64_bit_key():
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed must lie in 0..2\\*\\*64 - 1"):
                 random_walk_distance_mc(n, trials=10, seed=seed)
-        with pytest.raises(TypeError):
-            random_walk_distance_mc(n, trials=10, seed=2.5)
+        for seed in (2.5, True, False):
+            with pytest.raises(TypeError):
+                random_walk_distance_mc(n, trials=10, seed=seed)
         assert random_walk_distance_mc(n, trials=10, seed=2**64 - 1).seed == 2**64 - 1
 
 

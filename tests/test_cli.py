@@ -527,6 +527,17 @@ def test_simulate_cost_guard_exit_code(capsys, tmp_path):
     assert "2**9 * 9 * 30000 = 138240000 cell-trials" in err
 
 
+def test_simulate_cell_guard_exit_code(capsys, tmp_path):
+    # n = 17 is over the 2**20-cell guard at one trial (test_sim checks both modes)
+    code = QracCode(np.tile([0.0, 0.0, 1.0], (17, 1)), np.tile([0.0, 0.0, 1.0], (1 << 17, 1)))
+    path = tmp_path / "n17.json"
+    path.write_text(json.dumps(code_document(code)))
+    status, out, err = run(capsys, "simulate", "--json", str(path), "--trials", "1", "--randomize")
+    assert status == 3
+    assert out == ""
+    assert "cells = 2228224 exceeds the limit 1048576" in err
+
+
 # ------------------------------------------------------------------- regions
 
 

@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 import qrac
+from qrac import optimizer
 from qrac.bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
 from qrac.codes import QracCode
 from qrac.constructions import CONSTRUCTIONS
 from qrac.optimizer import OptimizerConfig
-
-#: Short searches: polish must agree across input forms, not converge.
-SHORT = OptimizerConfig(max_iterations=40)
 
 
 def _sets() -> list[tuple[str, np.ndarray]]:
@@ -63,14 +61,16 @@ ENTRY_POINTS = {
     "s_value": qrac.s_value,
     "optimal_code": qrac.optimal_code,
     "parallelogram_check": qrac.parallelogram_check,
-    "polish": lambda ms: qrac.polish(ms, SHORT),
+    "polish": qrac.polish,
     "count_sphere_regions": lambda ms: qrac.count_sphere_regions(qrac.GreatCircleArrangement(ms)),
 }
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 @pytest.mark.parametrize(("name", "rows"), SETS, ids=[name for name, _ in SETS])
-def test_every_input_form_gives_identical_results(entry, name, rows):
+def test_every_input_form_gives_identical_results(entry, name, rows, monkeypatch):
+    # short searches: polish must agree across input forms, not converge
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 40)
     outcomes = {
         form: _outcome(lambda ms=ms: ENTRY_POINTS[entry](ms)) for form, ms in _forms(rows).items()
     }

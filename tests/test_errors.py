@@ -41,7 +41,7 @@ from qrac.codes import (
 from qrac.constructions import MAX_CIRCLES, GreatCircleArrangement, known_code
 from qrac.errors import CostLimitError
 from qrac.optimizer import MAX_OPTIMIZE_N, OptimizerConfig, optimize
-from qrac.sim import MAX_CELL_TRIALS, simulate_code
+from qrac.sim import MAX_CELL_TRIALS, MAX_CELLS, simulate_code
 
 NORTH = np.array([0.0, 0.0, 1.0])
 Z = BlochVector(*NORTH)
@@ -90,6 +90,12 @@ GUARDS = [
         MAX_CELL_TRIALS,
     ),
     (
+        "cells",
+        lambda: simulate_code(QracCode(np.tile(NORTH, (17, 1)), np.tile(NORTH, (1 << 17, 1))), 1, 0),
+        (1 << 17) * 17,
+        MAX_CELLS,
+    ),
+    (
         "cli-exact",
         lambda: _cli_handler("classical", "--n", "20000", "--exact"),
         6020,
@@ -121,6 +127,8 @@ def test_reworded_messages_read_exactly():
         "(24024000 bytes as float64 3-vectors); circles = 1001 exceeds the limit 1000",
         "cell-trials": "simulation runs 2**9 * 9 * 30000 = 138240000 cell-trials; "
         "cell-trials = 138240000 exceeds the limit 100000000",
+        "cells": "simulation holds 17825792 bytes of tables for 2**17 * 17 cells; "
+        "cells = 2228224 exceeds the limit 1048576",
         "cli-exact": "the exact fraction for n = 20000 has a 6020-digit denominator; "
         "printed digits = 6020 exceeds the limit 4300",
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,17 +29,18 @@ def test_config_defaults_and_validation():
     assert config.seed == 0
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    for field in ("restarts", "max_iterations"):
-        for value in (2.5, 2.0, "3", None):
-            with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
-                OptimizerConfig(**{field: value})
-        assert getattr(OptimizerConfig(**{field: np.int64(2)}), field) == 2
+    for value in (2.5, 2.0, "3", None, True, np.True_):
+        with pytest.raises(ValueError, match="restarts must be an integer of at least 1"):
+            OptimizerConfig(restarts=value)
+    assert OptimizerConfig(restarts=np.int64(2)).restarts == 2
     assert OptimizerConfig(seed=np.int64(3)).seed == 3
-    for seed in (-1, 2.5, "3", None):
+    for seed in (-1, 2.5, "3", None, False, True):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             OptimizerConfig(seed=seed)
+    # the see-saw's step cap is the module constant MAX_ITERATIONS, not a setting
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
+    with pytest.raises(TypeError):
+        OptimizerConfig(max_iterations=4000)
 
 
 def test_import_does_not_load_scipy():
@@ -163,6 +165,11 @@ def test_polish_probability_is_the_kernel_score_of_its_result(rng):
         assert np.array_equal(again, polished) and again_probability == probability
 
 
+def test_polish_takes_only_directions():
+    with pytest.raises(TypeError):
+        polish(known_construction("qrac3").measurements, OptimizerConfig())
+
+
 def test_polish_single_measurement_is_trivial():
     z = (BlochVector(0.0, 0.0, 1.0),)
     polished, probability = polish(z)
@@ -186,10 +193,10 @@ def test_polish_improves_a_perturbed_set(rng):
     assert after >= target - 1e-5
 
 
-def _assert_matches_reference(starts: np.ndarray, config: OptimizerConfig) -> None:
-    dirs, s_values, steps, converged = optimizer._seesaw(starts, config)
+def _assert_matches_reference(starts: np.ndarray) -> None:
+    dirs, s_values, steps, converged = optimizer._seesaw(starts)
     for k, start in enumerate(starts):
-        ref_dirs, ref_s, ref_steps, ref_converged = reference_seesaw(start, config)
+        ref_dirs, ref_s, ref_steps, ref_converged = reference_seesaw(start)
         assert np.array_equal(dirs[k], ref_dirs), k
         assert (s_values[k], steps[k], converged[k]) == (ref_s, ref_steps, ref_converged), k
 
@@ -205,17 +212,18 @@ def test_norms_match_linalg_norm(rng):
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_stacked_seesaw_matches_reference_loop(n):
+def test_stacked_seesaw_matches_reference_loop(n, monkeypatch):
     rng = np.random.default_rng(100 + n)
     for count in (1, 3):
         starts = np.stack([uniform_directions(n, rng) for _ in range(count)])
-        _assert_matches_reference(starts, OptimizerConfig())
+        _assert_matches_reference(starts)
     # 50 restarts under a cap, so the stack holds converged and cut-off restarts
     starts = np.stack([uniform_directions(n, rng) for _ in range(50)])
-    _assert_matches_reference(starts, OptimizerConfig(max_iterations=200))
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 200)
+    _assert_matches_reference(starts)
 
 
-def test_stacked_seesaw_matches_reference_on_degenerate_starts():
+def test_stacked_seesaw_matches_reference_on_degenerate_starts(monkeypatch):
     rng = np.random.default_rng(5)
     x, y, z = np.eye(3)
     tilted = np.array([1.0, 1e-13, 0.0]) / np.linalg.norm([1.0, 1e-13, 0.0])
@@ -230,11 +238,12 @@ def test_stacked_seesaw_matches_reference_on_degenerate_starts():
     )
     lengths = np.linalg.norm(sign_matrix(6) @ starts, axis=-1)
     assert ((lengths > 0.0) & (lengths < NEUTRAL_CUTOFF)).any()
-    for config in (OptimizerConfig(), OptimizerConfig(max_iterations=2)):
-        _assert_matches_reference(starts, config)
+    for cap in (optimizer.MAX_ITERATIONS, 2):
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
+        _assert_matches_reference(starts)
 
 
-def test_stacked_seesaw_takes_both_guarded_branches_in_a_mixed_stack():
+def test_stacked_seesaw_takes_both_guarded_branches_in_a_mixed_stack(monkeypatch):
     # at the first step, S_x = 0 for the repeated start and the zero row's pull
     # is exactly 0, while the stack also holds ordinary starts: the neutral-sum
     # and vanished-pull branches run for a mixed stack
@@ -251,19 +260,20 @@ def test_stacked_seesaw_takes_both_guarded_branches_in_a_mixed_stack():
     encodings = sums / np.where(lengths < NEUTRAL_CUTOFF, np.inf, lengths)[..., None]
     pulls = np.linalg.norm(half.T @ encodings, axis=-1)
     assert pulls[1, 0] == 0.0 and pulls[2:].min() > 0.0
-    for config in (OptimizerConfig(), OptimizerConfig(max_iterations=2)):
-        _assert_matches_reference(starts, config)
+    for cap in (optimizer.MAX_ITERATIONS, 2):
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
+        _assert_matches_reference(starts)
 
 
-def test_stacked_seesaw_matches_reference_when_cut_off():
+def test_stacked_seesaw_matches_reference_when_cut_off(monkeypatch):
     rng = np.random.default_rng(8)
     starts = np.stack([uniform_directions(4, rng) for _ in range(40)])
     for cap in (1, 70, 90):  # these starts stop after 58 to 127 steps
-        config = OptimizerConfig(max_iterations=cap)
-        _, _, _, converged = optimizer._seesaw(starts, config)
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
+        _, _, _, converged = optimizer._seesaw(starts)
         if cap > 1:
             assert converged.any() and not converged.all(), cap
-        _assert_matches_reference(starts, config)
+        _assert_matches_reference(starts)
 
 
 def test_stacked_seesaw_matches_reference_when_one_restart_runs_on_alone():
@@ -271,9 +281,9 @@ def test_stacked_seesaw_matches_reference_when_one_restart_runs_on_alone():
     # alone, through buffers allocated for the shrunk stack, to step 327
     rng = np.random.default_rng(1061)
     starts = np.stack([uniform_directions(4, rng) for _ in range(8)])
-    _, _, steps, converged = optimizer._seesaw(starts, OptimizerConfig())
+    _, _, steps, converged = optimizer._seesaw(starts)
     assert converged.all() and np.sort(steps)[-2] < 100 and steps.max() > 300
-    _assert_matches_reference(starts, OptimizerConfig())
+    _assert_matches_reference(starts)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -290,7 +300,8 @@ def test_optimize_matches_reference_restart_loop(n):
 
 
 def test_restart_blocks_bound_memory_and_keep_traces(monkeypatch):
-    config = OptimizerConfig(restarts=200, max_iterations=3)
+    config = OptimizerConfig(restarts=200)
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     tracemalloc.start()
     try:
         _, _, report = optimize(12, config)

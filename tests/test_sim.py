@@ -13,7 +13,7 @@ from qrac.bloch import BlochVector
 from qrac.codes import QracCode, evaluate, optimal_code
 from qrac.constructions import construction_names, known_code
 from qrac.errors import CostLimitError
-from qrac.sim import MAX_CELL_TRIALS, SimReport, simulate_code
+from qrac.sim import MAX_CELL_TRIALS, MAX_CELLS, SimReport, simulate_code
 
 from helpers import random_measurements, reference_simulate_code, reference_thresholds
 
@@ -46,7 +46,7 @@ def test_report_fields_and_accessor():
 def test_trials_validation():
     with pytest.raises(ValueError):
         simulate_code(known_code("qrac2"), trials_per_input=0, seed=0)
-    for trials in (10.0, 1e9, "10"):  # checked as an integer before any cost is stated
+    for trials in (10.0, 1e9, "10", True, False, np.True_):  # checked before any cost is stated
         with pytest.raises(TypeError):
             simulate_code(known_code("qrac2"), trials_per_input=trials, seed=0)
     assert simulate_code(known_code("qrac2"), np.int64(3), 0).trials_per_input == 3
@@ -159,6 +159,57 @@ def test_setup_memory_stays_below_40_bytes_per_cell(monkeypatch):
         assert peak < 40 * cells, (randomize, peak / cells)
 
 
+def test_randomized_setup_memory_stays_below_24_bytes_per_cell(monkeypatch):
+    # the rotation tables are built one shift row at a time, so the peak is
+    # the p0 table's float-to-uint64 copy, about 16 bytes per cell
+    code = optimal_code(random_measurements(14, np.random.default_rng(24)))
+    cells = (1 << 14) * 14
+
+    def stop(*args):
+        raise _StopBeforeTrials
+
+    monkeypatch.setattr(sim, "_cell_words", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopBeforeTrials):
+            simulate_code(code, 1, 0, randomize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * cells, peak / cells
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_rotation_tables_match_whole_array_build(n):
+    # the whole-array build the row-by-row one replaced, in int64
+    span = 1 << (n - 1).bit_length()
+    z, shifts = np.arange(1 << n), np.arange(n)[:, None]
+    rot = np.zeros((span, 1 << n), dtype=np.int64)
+    rot[:n] = (((z << shifts) | (z >> (n - shifts))) & ((1 << n) - 1)) * n
+    rot += np.arange(span)[:, None]
+    i, d = np.arange(n)[:, None], np.arange(span)
+    wrap = i - n * (i + d >= n)
+    got_rot, got_wrap = sim._rotation_tables(n)
+    assert got_rot.dtype == got_wrap.dtype == np.int32
+    assert np.array_equal(got_rot, rot.ravel()) and np.array_equal(got_wrap, wrap.ravel())
+
+
+def test_cell_guard_refuses_before_any_table_is_built(monkeypatch):
+    # n = 17 has 2**17 * 17 cells, over MAX_CELLS = 2**20 even at one trial
+    code = QracCode(np.tile([0.0, 0.0, 1.0], (17, 1)), np.tile([0.0, 0.0, 1.0], (1 << 17, 1)))
+
+    def tripwire(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sim, "_thresholds", tripwire)
+    monkeypatch.setattr(sim, "_rotation_tables", tripwire)
+    assert (1 << 16) * 16 <= MAX_CELLS < (1 << 17) * 17
+    for randomize, table_bytes in ((False, 17825792), (True, 17825792 + 4 * 32 * (1 << 17))):
+        with pytest.raises(CostLimitError, match=f"holds {table_bytes} bytes of tables") as info:
+            simulate_code(code, 1, 0, randomize=randomize)
+        assert (info.value.quantity, info.value.requested) == ("cells", (1 << 17) * 17)
+
+
 def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
     budgets = []
     cell_words = sim._cell_words
@@ -201,6 +252,9 @@ def test_seeds_cover_the_whole_64_bit_range():
         assert np.array_equal(report.frequencies, reference_simulate_code(code, 50, seed, True))
     for seed in (-1, -2, 2**64):
         with pytest.raises(ValueError, match="seed must lie in 0..2\\*\\*64 - 1"):
+            simulate_code(code, 50, seed)
+    for seed in (False, True, 2.0):
+        with pytest.raises(TypeError):
             simulate_code(code, 50, seed)
 
 
