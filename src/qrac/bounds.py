@@ -12,21 +12,21 @@ Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
 by its mirror multiplicity; power-of-two scaling is exact, so the correctly
-rounded sum is bit for bit the unfolded one.
+rounded sum is bit for bit the unfolded one.  Every count (n, trials, the
+step counts) is read by errors._integer: a bool or a float is a TypeError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostLimitError
+from .errors import CostLimitError, _at_least, _integer, _philox_key
 
 #: Below this n the closed-form asymptote is returned but its derivation
 #: does not apply; callers that present it as a bound should say so.
@@ -100,8 +100,8 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     generators at its first row (_philox_at) and walks its share into its
     slice of one buffer of lengths.  The calling thread sums the buffer
     whole, so the estimate is bit for bit the same for any worker count.
-    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  No argument
-    may be a bool; `seed` must lie in 0..2^64 - 1, for n = 1 too.
+    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  `seed`
+    must lie in 0..2^64 - 1, for n = 1 too.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -109,11 +109,7 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     splits a row over eight accumulators, so `.sum(axis=1)` is kept there.
     The lengths are sqrt((x^2 + y^2) + z^2), np.linalg.norm's order.
     """
-    n, trials = _integer(n), _integer(trials)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    n, trials = _at_least(n, 1, "n"), _at_least(trials, 1, "trials")
     seed = _philox_key(seed)
     if n == 1:
         return WalkEstimate(n=1, mean_distance=1.0, std_error=0.0, trials=trials, seed=seed)
@@ -186,21 +182,6 @@ def _walk_block(seed: int, n: int, start: int, block: np.ndarray, workers: int) 
         raise errors[0]
 
 
-def _integer(value: int) -> int:
-    """`value` by operator.index, which refuses a float; a bool is refused too."""
-    if isinstance(value, bool):
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return operator.index(value)
-
-
-def _philox_key(seed: int) -> int:
-    """`seed` as a Philox key word: TypeError unless an integer, ValueError outside 0..2^64 - 1."""
-    seed = _integer(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
-    return seed
-
-
 def _philox_at(seed: int, word: int) -> np.random.Generator:
     """A generator whose next draw reads word `word` of Philox(key=seed).
 
@@ -255,8 +236,7 @@ def random_lower_bound_asymptotic(n: int) -> float:
     but below ASYMPTOTIC_VALID_FROM it should be quoted as an approximation
     rather than an achievable bound.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     return 0.5 + math.sqrt(2.0 / (3.0 * math.pi * n))
 
 
@@ -289,6 +269,7 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     a power-of-two multiple of the unfolded term, exactly.  math.fsum adds
     the terms with one final rounding, so the result is the unfolded sum's.
     """
+    x, y, z = _integer(x), _integer(y), _integer(z)
     if min(x, y, z) < 0:
         raise ValueError(f"step counts must be nonnegative, got ({x}, {y}, {z})")
     n = x + y + z
@@ -315,12 +296,10 @@ def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:
     but it is the one this bound names.  Above MAX_LATTICE_WALK the walk's
     guard raises CostLimitError.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     base, extra = divmod(n, 3)
-    split = tuple(base + 1 if i < extra else base for i in range(3))
-    probability = _walk_probability(lattice_walk_distance(*split), n)
-    return probability, (split[0], split[1], split[2])
+    split = (base + (extra > 0), base + (extra > 1), base)
+    return _walk_probability(lattice_walk_distance(*split), n), split
 
 
 def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
@@ -332,8 +311,7 @@ def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
     the even split: (3,1,1), (3,2,1) and (3,3,1) beat it at n = 5, 6, 7.
     Above MAX_LATTICE_WALK the first walk's guard raises CostLimitError.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     best_probability = -1.0
     best_split = (n, 0, 0)
     for x in range((n + 2) // 3, n + 1):

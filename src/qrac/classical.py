@@ -4,7 +4,8 @@ The sender sees an n-bit string and transmits a single bit; the receiver is
 asked for one position, chosen uniformly, and answers from the transmitted
 bit alone.  Shared randomness never helps the worst case beyond what the
 best deterministic strategy achieves on average, so everything here is exact
-combinatorics over deterministic strategies.
+combinatorics over deterministic strategies.  Every n and m is read by
+errors._integer: a bool or a float is a TypeError, a numpy integer an int.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CostLimitError
+from .errors import CostLimitError, _at_least, _integer
 
 #: Largest n accepted by brute_force_optimal: the table enumeration grows as
 #: 2**(2**n) and is only practical through n = 4 (65536 encodings).
@@ -53,6 +54,7 @@ class PureClassicalStrategy:
 
     `encode[x]` is the transmitted bit for input index x; `decode[i]` is the
     truth table (answer on 0, answer on 1) used when position i+1 is asked.
+    `n` is kept as the Python int errors._at_least reads.
     """
 
     n: int
@@ -60,8 +62,7 @@ class PureClassicalStrategy:
     decode: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _at_least(self.n, 1, "n"))
         if len(self.encode) != 1 << self.n:
             raise ValueError(f"encode table must have {1 << self.n} entries, got {len(self.encode)}")
         if any(b not in (0, 1) for b in self.encode):
@@ -74,8 +75,7 @@ class PureClassicalStrategy:
     @classmethod
     def majority(cls, n: int) -> PureClassicalStrategy:
         """Send the majority bit, ties resolved to 0; every decoder is identity."""
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
+        n = _at_least(n, 1, "n")
         if n > MAX_STRATEGY_N:
             raise CostLimitError(f"the encoding table has 2**{n} entries", "n", n, MAX_STRATEGY_N)
         encode = tuple(
@@ -95,8 +95,7 @@ class PureClassicalStrategy:
 
 def optimal_classical_probability(n: int) -> Fraction:
     """Best achievable success probability, exactly: 1/2 + C(n-1, floor((n-1)/2)) / 2^n."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     if n > MAX_CLASSICAL_N:
         k = (n - 1) // 2
         bits = (math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)) / math.log(2.0)
@@ -113,19 +112,15 @@ def majority_strategy_probability(n: int) -> Fraction:
     n = 2m ties are resolved to 0, which recovers exactly half of the tied
     weight: (2 * sum_{i=m+1}^{2m} i*C(2m, i) + m*C(2m, m)) / (2m * 2^(2m)).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     if n > MAX_MAJORITY_N:
         cost = f"the counting sums add {n // 2 + 1} binomials of up to {n} bits"
         raise CostLimitError(cost, "n", n, MAX_MAJORITY_N)
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        total = 2 * sum(i * math.comb(2 * m + 1, i) for i in range(m + 1, 2 * m + 2))
-        return Fraction(total, (2 * m + 1) << (2 * m + 1))
     m = n // 2
-    total = 2 * sum(i * math.comb(2 * m, i) for i in range(m + 1, 2 * m + 1))
-    total += m * math.comb(2 * m, m)
-    return Fraction(total, (2 * m) << (2 * m))
+    total = 2 * sum(i * math.comb(n, i) for i in range(m + 1, n + 1))
+    if n % 2 == 0:
+        total += m * math.comb(n, m)
+    return Fraction(total, n << n)
 
 
 def counting_identity_check(m: int) -> bool:
@@ -134,8 +129,7 @@ def counting_identity_check(m: int) -> bool:
     Checks sum_{i=m+1}^{2m+1} i*C(2m+1, i) == (2m+1) * (2^(2m-1) + C(2m, m)/2)
     and sum_{i=m+1}^{2m} i*C(2m, i) == m * 2^(2m-1), both exactly.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = _at_least(m, 1, "m")
     if m > MAX_COUNTING_M:
         cost = f"the identity sums add {2 * m + 1} binomials of up to {2 * m + 1} bits"
         raise CostLimitError(cost, "m", m, MAX_COUNTING_M)
@@ -149,8 +143,7 @@ def counting_identity_check(m: int) -> bool:
 
 def classical_asymptotic(n: int) -> float:
     """Leading-order approximation 1/2 + 1/sqrt(2*pi*n) to the optimal probability."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     return 0.5 + 1.0 / math.sqrt(2.0 * math.pi * n)
 
 
@@ -161,6 +154,7 @@ def classical_bounds(n: int) -> tuple[float, float]:
     binomial coefficient in optimal_classical_probability; the bracket is
     strict for every n >= 2.
     """
+    n = _integer(n)
     if n < 2:
         raise ValueError(f"bounds need n >= 2, got {n}")
     if n % 2 == 1:
@@ -183,8 +177,7 @@ def brute_force_optimal(n: int) -> Fraction:
     answers out of 2^n, where o1 counts inputs with that position set that
     are encoded to 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     if n > MAX_BRUTE_FORCE:
         raise CostLimitError("brute force enumerates 2**(2**n) tables", "n", n, MAX_BRUTE_FORCE)
     tables = np.arange(1 << (1 << n), dtype=np.uint32)

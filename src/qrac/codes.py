@@ -10,7 +10,7 @@ sum over sign patterns.  `s_value`, the `optimal_code` encodings, the Monte
 Carlo walk, the simulator's p0 table and frequencies, the lattice bounds and
 the classical values had the same bits on every OpenBLAS kernel tried.
 `evaluate`'s cells and the see-saw's steps are the host BLAS's, and their
-printed six decimals matched.
+printed six decimals matched.  Counts are read by errors._at_least.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
 from .classical import optimal_classical_probability
-from .errors import CostLimitError
+from .errors import CostLimitError, _at_least
 
 #: Signed sums with norm below this are treated as zero: the input string is
 #: probability-neutral and receives the fixed fallback encoding.
@@ -329,8 +329,7 @@ def upper_bound(n: int) -> float:
     No single-qubit code for n bits — even with shared randomness, and even
     when the qubit is assisted by classical postprocessing — exceeds this.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _at_least(n, 1, "n")
     return 0.5 + 0.5 / math.sqrt(n)
 
 
@@ -361,13 +360,11 @@ def classical_comparison_scan(
     set is known, but the comparison in full generality is unproven, so
     violations are returned as data to inspect rather than raised.
     """
-    if sets_per_n < 1:
-        raise ValueError(f"sets_per_n must be at least 1, got {sets_per_n}")
+    sets_per_n = _at_least(sets_per_n, 1, "sets_per_n")
     rng = np.random.default_rng(seed)
     violations: list[tuple[int, int, float, float]] = []
     for n in ns:
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
+        n = _at_least(n, 1, "n")
         classical = float(optimal_classical_probability(n))
         for index in range(sets_per_n):
             dirs = uniform_directions(n, rng)

@@ -1,6 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types and the one rule for integer arguments.
+
+Every count a public function takes (n bits, the m of the counting
+identities, trials, restarts, step counts, seeds) is read by `_integer`: an
+integer by operator.index, so a float is a TypeError and a numpy integer
+becomes a Python int, and a bool is a TypeError too.  `_at_least` adds the
+one lower-bound check, whose ValueError names the argument and its value.
+"""
 
 from __future__ import annotations
+
+import operator
 
 
 class CostLimitError(RuntimeError):
@@ -22,3 +31,26 @@ class CostLimitError(RuntimeError):
 
     def __reduce__(self):  # pickle (e.g. across processes) rebuilds from the four parts
         return type(self), (self.cost, self.quantity, self.requested, self.limit)
+
+
+def _integer(value: int) -> int:
+    """`value` as a Python int by operator.index, which refuses a float; a bool is refused too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
+def _at_least(value: int, least: int, name: str) -> int:
+    """`value` by _integer; ValueError naming `name` when it is below `least`."""
+    value = _integer(value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _philox_key(seed: int) -> int:
+    """`seed` as a Philox key word: TypeError unless an integer, ValueError outside 0..2^64 - 1."""
+    seed = _integer(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    return seed

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import uniform_directions
-from .bounds import _integer
 from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, _sign_rows
 from .codes import _norm_sum_and_neutral, _unit_rows, probability_from_s_value
-from .errors import CostLimitError
+from .errors import CostLimitError, _at_least, _integer
 
 #: Search is limited to this range: each see-saw step costs O(n * 2^n).
 MIN_OPTIMIZE_N = 2
@@ -51,7 +50,8 @@ class OptimizerConfig:
     objective s by less than STALL_TOLERANCE, or after MAX_ITERATIONS steps;
     both are module constants, and passing a step cap here is a TypeError.
     `restarts` is an integer of at least 1 and `seed` any non-negative
-    integer, which seeds numpy's default generator; a bool is neither.
+    integer, which seeds numpy's default generator; a bool is neither.  Both
+    are kept as the Python ints errors._integer reads.
     """
 
     restarts: int = 50
@@ -64,11 +64,12 @@ class OptimizerConfig:
         ):
             value = getattr(self, name)
             try:
-                valid = _integer(value) >= least
+                number = _integer(value)
             except TypeError:
-                valid = False
-            if not valid:
+                number = None
+            if number is None or number < least:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,12 @@ def optimize(
     restarts one at a time.  The returned directions, a read-only (n, 3)
     array, are canonicalized to the upper hemisphere (rows with negative z are
     negated, which never changes the objective) and rescored, so the returned
-    probability matches the returned directions exactly.
+    probability matches the returned directions exactly.  `n` is an integer
+    (errors._at_least): `optimize(3.0)` is a TypeError.
     """
     if config is None:
         config = OptimizerConfig()
-    if n < MIN_OPTIMIZE_N:
-        raise ValueError(f"n must be at least {MIN_OPTIMIZE_N}, got {n}")
+    n = _at_least(n, MIN_OPTIMIZE_N, "n")
     _check_size(n)
     rng = np.random.default_rng(config.seed)
     block = max(1, _CHUNK >> (n - 1))  # restarts per block

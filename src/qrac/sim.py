@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _integer, _philox_key
 from .codes import QracCode
-from .errors import CostLimitError
+from .errors import CostLimitError, _at_least, _philox_key
 
 #: Hard guard on 2^n * n * trials_per_input, the cell-trials of one run; the
 #: largest run in the tests is qrac6 at 100,000 trials (3.84e7 cell-trials).
@@ -221,12 +220,11 @@ def simulate_code(
 
     Each cell reads its own Philox stream keyed by (seed, x_index * n +
     position), as the module docstring sets out, so reports are reproducible
-    and independent of execution order.  `seed` must lie in 0..2^64 - 1.
+    and independent of execution order.  `seed` must lie in 0..2^64 - 1, and
+    trials_per_input is an integer of at least 1 (errors._at_least).
     Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials.
     """
-    trials = _integer(trials_per_input)
-    if trials < 1:
-        raise ValueError(f"trials_per_input must be at least 1, got {trials}")
+    trials = _at_least(trials_per_input, 1, "trials_per_input")
     seed = _philox_key(seed)
     n = code.n
     n_cells = (1 << n) * n
