@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _at_least
+
 #: Tolerance for unit-norm validation of vectors and states.
 UNIT_TOLERANCE = 1e-12
 
@@ -124,8 +126,9 @@ def uniform_directions(count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample `count` uniform points on the unit sphere as a (count, 3) array.
 
     Inverse-CDF sampling: z uniform in [-1, 1], azimuth uniform in [0, 2*pi);
-    the z block is drawn before the azimuth block.
+    the z block is drawn before the azimuth block.  A negative count is a ValueError.
     """
+    count = _at_least(count, 0, "count")
     z = rng.uniform(-1.0, 1.0, size=count)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -6,8 +6,8 @@ distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate, walked in cache-sized sub-blocks
 from Philox streams placed at exact word offsets, so its memory does not
-grow with n or the trials, and split over up to four threads, which change
-no bit of it; and a closed-form asymptote.
+grow with n or the trials, and shared by up to four threads, the caller
+and a thread pool, which change no bit of it; and a closed-form asymptote.
 Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +95,15 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     trials from trial `start` reads its z coordinates from word 2 * n * start
     and its azimuths from rows * n words later.  The block is split into one
     contiguous share of whole sub-blocks per worker, as many workers as the
-    CPUs this process may run on, at most _MAX_WORKERS; each places its own
-    generators at its first row (_philox_at) and walks its share into its
-    slice of one buffer of lengths.  The calling thread sums the buffer
-    whole, so the estimate is bit for bit the same for any worker count.
-    Memory is that buffer plus O(_SUB_FLOATS) scratch per worker.  `seed`
-    must lie in 0..2^64 - 1, for n = 1 too.
+    CPUs this process may run on, at most _MAX_WORKERS.  The calling thread
+    walks the first share and a pool of workers - 1 threads, one per call,
+    the others: each places its own generators at its first row
+    (_philox_at) and walks into its slice of one buffer of lengths.  The
+    calling thread sums the buffer whole, so the estimate is bit for bit the
+    same for any worker count.  The first failing share's error, in share
+    order, is raised once every pool thread is joined.  Memory is that
+    buffer plus O(_SUB_FLOATS) scratch per worker.  `seed` must lie in
+    0..2^64 - 1, for n = 1 too.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -117,15 +119,30 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
         cost = f"Monte Carlo walk of {n} steps per trial over {trials} trials"
         raise CostLimitError(cost, "steps n * trials", n * trials, MAX_WALK_STEPS)
     workers = _walk_workers()
+    sub_rows = max(1, _SUB_FLOATS // n)
     lengths = np.empty(min(_CHUNK, trials))
     total = 0.0
     total_sq = 0.0
-    for start in range(0, trials, _CHUNK):
-        block = lengths[: min(_CHUNK, trials - start)]
-        _walk_block(seed, n, start, block, workers)
-        total += float(block.sum())
-        block *= block
-        total_sq += float(block.sum())
+    from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging (~14 ms)
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # it starts no thread at one worker
+        for start in range(0, trials, _CHUNK):
+            rows = min(_CHUNK, trials - start)
+            block = lengths[:rows]
+            share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
+
+            def walk(lo: int) -> None:  # every share is walked before `start` moves on
+                z_stream = _philox_at(seed, 2 * n * start + lo * n)
+                phi_stream = _philox_at(seed, 2 * n * start + rows * n + lo * n)
+                for sub in range(lo, min(lo + share, rows), sub_rows):
+                    _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
+
+            others = pool.map(walk, range(share, rows, share))  # every share submitted now
+            walk(0)
+            list(others)  # raises the first failing share's error, in share order
+            total += float(block.sum())
+            block *= block
+            total_sq += float(block.sum())
     mean = total / trials
     if trials > 1:
         variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -139,47 +156,6 @@ def _walk_workers() -> int:
     """Threads that walk a block: the CPUs this process may run on, at most _MAX_WORKERS."""
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_WORKERS)
-
-
-def _walk_block(seed: int, n: int, start: int, block: np.ndarray, workers: int) -> None:
-    """Write into `block` the lengths of the walks from trial `start` on.
-
-    The block's rows are split into at most `workers` contiguous shares of
-    whole sub-blocks.  Each share places its own z and azimuth generators at
-    its first row, so every length is the same whichever thread walks it.
-    The calling thread walks the first share and threads walk the others;
-    all are joined before this returns, and a worker's error is raised here.
-    """
-    rows = len(block)
-    sub_rows = max(1, _SUB_FLOATS // n)
-    share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
-
-    def walk(lo: int) -> None:
-        z_stream = _philox_at(seed, 2 * n * start + lo * n)
-        phi_stream = _philox_at(seed, 2 * n * start + rows * n + lo * n)
-        for sub in range(lo, min(lo + share, rows), sub_rows):
-            _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
-
-    errors: list[BaseException] = []
-
-    def work(lo: int) -> None:
-        try:
-            walk(lo)
-        except BaseException as error:  # raised again on the calling thread
-            errors.append(error)
-
-    threads: list[threading.Thread] = []
-    try:
-        for lo in range(share, rows, share):
-            thread = threading.Thread(target=work, args=(lo,))
-            thread.start()
-            threads.append(thread)
-        walk(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _philox_at(seed: int, word: int) -> np.random.Generator:

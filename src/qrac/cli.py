@@ -14,7 +14,6 @@ import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import takewhile
 
 import numpy as np
 
@@ -86,8 +85,13 @@ def _coordinates(raw: object) -> tuple[float, float, float] | None:
     return None
 
 
-def _json_rows(raw_rows: list) -> np.ndarray:
-    """The rows before the first that is not a 3-vector, as an (m, 3) array; null reads as NaN."""
+def _checked_json_rows(raw_rows: list, name: Callable, accepts: Callable, refusal: Callable) -> tuple:
+    """(rows, norms) if every row is a 3-vector whose norm `accepts` passes.
+
+    Else a ValueError names the first row that is not, in list order, as name(i),
+    and says why: not a 3-vector, or refusal(norm).  A row that is not a 3-vector,
+    or holds a bool or a null, reads as NaN, which every caller's norm rule refuses.
+    """
     try:
         rows = np.array(raw_rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -98,23 +102,14 @@ def _json_rows(raw_rows: list) -> np.ndarray:
         exact = rows == 0.0
         exact |= rows == 1.0
         suspects = np.flatnonzero(exact.any(axis=1)).tolist() if exact.any() else []
-        return rows[: next((i for i in suspects if bool in map(type, raw_rows[i])), len(rows))]
-    parsed = takewhile(lambda row: row is not None, map(_coordinates, raw_rows))
-    return np.array(list(parsed), dtype=float).reshape(-1, 3)
-
-
-def _checked_json_rows(raw_rows: list, name: Callable, accepts: Callable, refusal: Callable) -> tuple:
-    """(rows, norms) if every row is a 3-vector whose norm `accepts` passes.
-
-    Else a ValueError names the first row that is not, in list order, as name(i),
-    and says why: not a 3-vector, or refusal(norm).
-    """
-    rows = _json_rows(raw_rows)
+        rows[[i for i in suspects if bool in map(type, raw_rows[i])]] = math.nan
+    else:
+        rows = np.array([_coordinates(raw) or (math.nan,) * 3 for raw in raw_rows]).reshape(-1, 3)
     with np.errstate(over="ignore"):  # a norm beyond float range is inf, and refused
         norms = _norms(rows)
-    first = next(iter(np.flatnonzero(~accepts(norms)).tolist()), len(rows))
-    if first < len(raw_rows):
-        raw = raw_rows[first]  # a null reads as NaN, so the norm rule marks it too
+    first = next(iter(np.flatnonzero(~accepts(norms)).tolist()), None)
+    if first is not None:
+        raw = raw_rows[first]
         reason = refusal(float(norms[first])) if _coordinates(raw) else f"expected a 3-vector, got {raw!r}"
         raise ValueError(f"{name(first)}: {reason}")
     return rows, norms

@@ -361,7 +361,7 @@ def classical_comparison_scan(
     violations are returned as data to inspect rather than raised.
     """
     sets_per_n = _at_least(sets_per_n, 1, "sets_per_n")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_at_least(seed, 0, "seed"))
     violations: list[tuple[int, int, float, float]] = []
     for n in ns:
         n = _at_least(n, 1, "n")

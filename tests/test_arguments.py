@@ -16,6 +16,7 @@ import pytest
 
 import qrac
 from qrac import bounds, classical, codes
+from qrac.bloch import uniform_directions
 from qrac.bounds import (
     best_axis_split,
     lattice_walk_distance,
@@ -61,10 +62,16 @@ SITES = [
      0, "n must be at least 1, got {value}"),
     ("classical_comparison_scan", "sets_per_n", lambda v: classical_comparison_scan([2], v),
      0, "sets_per_n must be at least 1, got {value}"),
+    ("classical_comparison_scan", "seed", lambda v: classical_comparison_scan([2], 1, seed=v),
+     -1, "seed must be at least 0, got {value}"),
+    ("uniform_directions", "count", lambda v: uniform_directions(v, np.random.default_rng(0)),
+     -1, "count must be at least 0, got {value}"),
     ("random_walk_distance_mc", "n", lambda v: random_walk_distance_mc(v, 10, 0),
      0, "n must be at least 1, got {value}"),
     ("random_walk_distance_mc", "trials", lambda v: random_walk_distance_mc(2, v, 0),
      0, "trials must be at least 1, got {value}"),
+    ("random_walk_distance_mc", "seed", lambda v: random_walk_distance_mc(2, 10, v),
+     -1, "seed must lie in 0..2**64 - 1, got {value}"),
     ("random_lower_bound_asymptotic", "n", random_lower_bound_asymptotic,
      0, "n must be at least 1, got {value}"),
     ("lattice_walk_distance", "x", lambda v: lattice_walk_distance(v, 1, 1),
@@ -81,6 +88,10 @@ SITES = [
      0, "restarts must be an integer of at least 1, got {value!r}"),
     ("simulate_code", "trials_per_input", lambda v: simulate_code(QRAC2, v, 0),
      0, "trials_per_input must be at least 1, got {value}"),
+    ("OptimizerConfig", "seed", lambda v: OptimizerConfig(seed=v),
+     -1, "seed must be a non-negative integer, got {value!r}"),
+    ("simulate_code", "seed", lambda v: simulate_code(QRAC2, 1, v),
+     -1, "seed must lie in 0..2**64 - 1, got {value}"),
 ]
 SITE_IDS = [f"{site}-{parameter}" for site, parameter, *_ in SITES]
 
@@ -164,6 +175,7 @@ NUMPY_CASES = [
     ("orthogonal_lower_bound-60", orthogonal_lower_bound, (60,)),
     ("lattice_walk_distance-60", lattice_walk_distance, (20, 21, 19)),
     ("classical_comparison_scan", lambda n, sets: classical_comparison_scan([n], sets, seed=3), (5, 2)),
+    ("uniform_directions", lambda count: uniform_directions(count, np.random.default_rng(3)), (4,)),
     ("random_walk_distance_mc", lambda n, trials: random_walk_distance_mc(n, trials, 0), (3, 100)),
     ("simulate_code", lambda trials: simulate_code(QRAC2, trials, 0, randomize=True), (5,)),
     ("optimize", lambda n, restarts: optimize(n, OptimizerConfig(restarts=restarts, seed=1)), (3, 2)),
@@ -203,7 +215,8 @@ def _public_callables():
 
 
 def test_the_table_lists_every_public_count():
-    counts = {"n", "ns", "m", "trials", "trials_per_input", "sets_per_n", "restarts", "x", "y", "z"}
+    counts = {"n", "ns", "m", "count", "trials", "trials_per_input", "sets_per_n", "restarts", "seed"}
+    counts |= {"x", "y", "z"}
     with_counts = {
         (name, parameter)
         for name, obj in _public_callables().items()

@@ -53,6 +53,16 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_import_does_not_load_the_thread_pool():
+    # the Monte Carlo walk imports concurrent.futures, and so logging, only when it runs
+    env = dict(os.environ, PYTHONPATH=str(Path(qrac.__file__).resolve().parent.parent))
+    script = "import sys, qrac; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_size_guards():
     with pytest.raises(ValueError):
         optimize(1)
