@@ -36,7 +36,7 @@ from .constructions import (
     known_construction,
 )
 from .errors import CostLimitError
-from .optimizer import OptimizerConfig, optimize, polish
+from .optimizer import optimize, polish
 from .povm import Povm2, decompose_povm
 from .sim import simulate_code
 
@@ -48,7 +48,6 @@ __all__ = [
     "CostLimitError",
     "GreatCircleArrangement",
     "Measurement",
-    "OptimizerConfig",
     "Povm2",
     "QracCode",
     "best_axis_split",

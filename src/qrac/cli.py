@@ -37,7 +37,7 @@ from .constructions import (
     known_construction,
 )
 from .errors import CostLimitError
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .sim import simulate_code
 
 #: Version stamp written into every JSON document this tool produces.
@@ -128,7 +128,8 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     """Rebuild a code from its JSON form; returns (code, metadata).
 
     The encoding keys may come in any order.  The first malformed key or
-    row in document order is the one a ValueError names.
+    row in document order is the one a ValueError names.  A metadata name,
+    if present and not null, must be a string.
     """
     if not isinstance(document, dict):
         raise ValueError("code document must be a JSON object")
@@ -155,6 +156,8 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     metadata = {} if document.get("metadata") is None else document["metadata"]
     if not isinstance(metadata, dict):
         raise ValueError("metadata must be a JSON object")
+    if not isinstance(metadata.get("name"), (str, type(None))):
+        raise ValueError(f"metadata name must be a string or null, got {metadata['name']!r}")
     # rows kept are within UNIT_TOLERANCE and rescaled ones a few ulp from 1,
     # so QracCode's own norm check could not fail
     measurements.setflags(write=False)
@@ -257,10 +260,9 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    measurements, probability, report = optimize(args.n, config)
+    measurements, probability, report = optimize(args.n, restarts=args.restarts, seed=args.seed)
     print(f"probability: {_format_probability(probability)}")
-    print(f"restarts: {config.restarts}")
+    print(f"restarts: {args.restarts}")
     print(f"best_restart: {report.best_restart}")
     for index, direction in enumerate(measurements.tolist(), start=1):
         theta, phi = _angles(*direction)

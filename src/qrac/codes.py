@@ -82,7 +82,8 @@ def _unit_rows(
     """`rows` (an (n, 3) array, nested lists, BlochVectors) as a new read-only float array.
 
     ValueError unless it holds `count` rows (from one up without it), each
-    within UNIT_TOLERANCE of unit norm, which NaN and infinity never are.
+    within UNIT_TOLERANCE of unit norm, which NaN and infinity never are; a
+    wrong shape, such as a flat [0, 0, 1], is named in the message.
     """
     array = np.array(rows, dtype=float)
     if count is None:
@@ -90,7 +91,8 @@ def _unit_rows(
         if count < 1:
             raise ValueError(f"need at least one {item}")
     if array.shape != (count, 3) or not np.abs(_norms(array) - 1.0).max() <= UNIT_TOLERANCE:
-        raise ValueError(f"{item}s must be {count} unit 3-vectors as rows")
+        shape = "" if array.shape == (count, 3) else f", got shape {array.shape}"
+        raise ValueError(f"{item}s must be {count} unit 3-vectors as rows{shape}")
     array.setflags(write=False)
     return array
 

@@ -16,6 +16,9 @@ BLAS kernel's, as `evaluate`'s cells are (codes names those no kernel changes):
 each kernel adds the 2^(n-1) rows of the pull product in its own blocked order,
 and OpenBLAS kernels differ in the last bits of a step, while the six printed
 decimals of `qrac optimize --n 2..9` matched on every kernel tried.
+
+`optimize` takes the restart count and the seed as keyword arguments, which
+errors._at_least reads as it reads every count in the package.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .bloch import uniform_directions
 from .codes import _CHUNK, NEUTRAL_CUTOFF, _norms, _sign_rows
 from .codes import _norm_sum_and_neutral, _unit_rows, probability_from_s_value
-from .errors import CostLimitError, _at_least, _integer
+from .errors import CostLimitError, _at_least
 
 #: Search is limited to this range: each see-saw step costs O(n * 2^n).
 MIN_OPTIMIZE_N = 2
@@ -43,41 +46,11 @@ MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for the random-restart see-saw search: the CLI's two flags.
-
-    Each restart stops at the first see-saw step that raises the norm-sum
-    objective s by less than STALL_TOLERANCE, or after MAX_ITERATIONS steps;
-    both are module constants, and passing a step cap here is a TypeError.
-    `restarts` is an integer of at least 1 and `seed` any non-negative
-    integer, which seeds numpy's default generator; a bool is neither.  Both
-    are kept as the Python ints errors._integer reads.
-    """
-
-    restarts: int = 50
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name, least, rule in (
-            ("restarts", 1, "an integer of at least 1"),
-            ("seed", 0, "a non-negative integer"),
-        ):
-            value = getattr(self, name)
-            try:
-                number = _integer(value)
-            except TypeError:
-                number = None
-            if number is None or number < least:
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
-            object.__setattr__(self, name, number)
-
-
-@dataclass(frozen=True)
 class RestartTrace:
     """Outcome of one random start: best objective found and how it ended.
 
     `iterations` counts see-saw steps; `converged` is False when the restart hit
-    the cap MAX_ITERATIONS, a module constant and no longer a config field.
+    the cap MAX_ITERATIONS, a module constant.
     """
 
     restart: int
@@ -89,10 +62,9 @@ class RestartTrace:
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """All restart traces plus which one produced the returned directions."""
+    """Every restart's trace, in restart order (one per restart), and the index of the best."""
 
     n: int
-    config: OptimizerConfig
     traces: tuple[RestartTrace, ...]
     best_restart: int
 
@@ -175,9 +147,7 @@ def _check_size(n: int) -> None:
         raise CostLimitError("each see-saw step costs O(n*2^n)", "n", n, MAX_OPTIMIZE_N)
 
 
-def optimize(
-    n: int, config: OptimizerConfig | None = None
-) -> tuple[np.ndarray, float, OptimizationReport]:
+def optimize(n: int, *, restarts: int = 50, seed: int = 0) -> tuple[np.ndarray, float, OptimizationReport]:
     """Search for the best n measurement directions from random starts.
 
     Each start is n uniform directions drawn from one seeded generator
@@ -189,19 +159,23 @@ def optimize(
     restarts one at a time.  The returned directions, a read-only (n, 3)
     array, are canonicalized to the upper hemisphere (rows with negative z are
     negated, which never changes the objective) and rescored, so the returned
-    probability matches the returned directions exactly.  `n` is an integer
-    (errors._at_least): `optimize(3.0)` is a TypeError.
+    probability matches the returned directions exactly.
+
+    `restarts` (at least 1) and `seed` (at least 0, for numpy's default
+    generator) are keyword-only, and read like `n` by errors._at_least: a
+    bool or a float, such as `optimize(3.0)` or `restarts=2.0`, is a
+    TypeError.  Each restart stops at its first see-saw step that raises s by
+    less than STALL_TOLERANCE, or after MAX_ITERATIONS steps.
     """
-    if config is None:
-        config = OptimizerConfig()
     n = _at_least(n, MIN_OPTIMIZE_N, "n")
+    restarts, seed = _at_least(restarts, 1, "restarts"), _at_least(seed, 0, "seed")
     _check_size(n)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     block = max(1, _CHUNK >> (n - 1))  # restarts per block
     traces: list[RestartTrace] = []
     best_s = -np.inf
-    for first in range(0, config.restarts, block):
-        starts = [uniform_directions(n, rng) for _ in range(min(block, config.restarts - first))]
+    for first in range(0, restarts, block):
+        starts = [uniform_directions(n, rng) for _ in range(min(block, restarts - first))]
         dirs, s_values, steps, converged = _seesaw(np.stack(starts))
         traces.extend(
             RestartTrace(
@@ -214,7 +188,7 @@ def optimize(
             best_dirs, best_s, best_restart = dirs[k], s_values[k], first + k
     best_dirs = np.where(best_dirs[:, 2:] < 0.0, -best_dirs, best_dirs)
     best_dirs.setflags(write=False)
-    report = OptimizationReport(n=n, config=config, traces=tuple(traces), best_restart=best_restart)
+    report = OptimizationReport(n=n, traces=tuple(traces), best_restart=best_restart)
     return best_dirs, probability_from_s_value(_norm_sum_and_neutral(best_dirs)[0], n), report
 
 
@@ -225,8 +199,7 @@ def polish(measurements: np.typing.ArrayLike) -> tuple[np.ndarray, float]:
     probability of its s.  The see-saw keeps only steps that raise s by at
     least STALL_TOLERANCE, so the probability never falls below the input's,
     and a set it stalls on, such as a converged polish, comes back bit for bit.
-    It runs at most MAX_ITERATIONS steps and takes no config: `polish(ms, config)`
-    is a TypeError.
+    It runs at most MAX_ITERATIONS steps and takes only the directions.
     """
     dirs = _unit_rows(measurements)
     n = len(dirs)

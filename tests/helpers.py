@@ -15,7 +15,7 @@ from qrac.codes import (
     _norm_sum_and_neutral,
     probability_from_s_value,
 )
-from qrac.optimizer import STALL_TOLERANCE, OptimizerConfig, RestartTrace
+from qrac.optimizer import STALL_TOLERANCE, RestartTrace
 
 
 def random_measurements(n: int, rng: np.random.Generator) -> tuple[BlochVector, ...]:
@@ -319,18 +319,16 @@ def reference_seesaw(dirs: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
     return dirs, s, cap, False
 
 
-def reference_restarts(
-    n: int, config: OptimizerConfig
-) -> tuple[list[RestartTrace], np.ndarray]:
+def reference_restarts(n: int, restarts: int, seed: int) -> tuple[list[RestartTrace], np.ndarray]:
     """The one-at-a-time restart loop of optimize: (traces, best directions).
 
     The best directions are those of the earliest restart with the largest s,
     before canonicalization.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     traces = []
     best_dirs, best_s = np.empty((n, 3)), -np.inf
-    for restart in range(config.restarts):
+    for restart in range(restarts):
         dirs, s, iterations, converged = reference_seesaw(uniform_directions(n, rng))
         traces.append(
             RestartTrace(restart, s, probability_from_s_value(s, n), iterations, converged)

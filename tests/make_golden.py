@@ -9,7 +9,7 @@ classical_bounds is left out: its math.exp is the host libm's.
 
 The direction sets are the named constructions and, for each n = 1..18, n
 uniform directions from a generator seeded with n; their sines and cosines
-come from numpy's own loops, which this host's CPU features pick.  The
+come from numpy's own loops, which the host's CPU features pick.  The
 `qrac optimize` lines are printed to six decimals, which matched on every
 kernel tried, though the see-saw's last bits are the kernel's.
 
@@ -94,7 +94,7 @@ def digest(name: str) -> str:
     """SHA-256 of one case's lines, joined by newlines."""
     function, arguments, write = CASES[name]
     text = "\n".join(f"{argument} {write(function(argument))}" for argument in arguments)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(text.encode())
 
 
 def _label(arguments) -> str:

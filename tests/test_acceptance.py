@@ -42,7 +42,7 @@ from qrac.constructions import (
     known_code,
     known_construction,
 )
-from qrac.optimizer import OptimizerConfig, optimize
+from qrac.optimizer import optimize
 from qrac.povm import Povm2, decompose_povm, mixture_outcome_probs, povm_outcome_probs
 from qrac.bloch import state_from_bloch
 from helpers import bloch_from_angles, random_measurements
@@ -196,7 +196,7 @@ def test_criterion_06_bound_sandwich():
         assert abs(report.average - upper_bound(n)) <= 1e-12, name
         assert abs(report.worst_case - upper_bound(n)) <= 1e-12, name
     for n in range(2, 7):
-        measurements, probability, _ = optimize(n, OptimizerConfig(restarts=4, seed=3))
+        measurements, probability, _ = optimize(n, restarts=4, seed=3)
         report = evaluate(optimal_code(measurements))
         assert report.worst_case <= report.average + 1e-12
         assert report.average <= upper_bound(n) + 1e-12
@@ -205,11 +205,10 @@ def test_criterion_06_bound_sandwich():
 
 
 def test_criterion_07_optimizer_reaches_best_known_values():
-    config = OptimizerConfig(restarts=50, seed=0)
     total = 0.0
     for n, target in SEARCH_TARGETS.items():
         t0 = time.perf_counter()
-        _, probability, report = optimize(n, config)
+        _, probability, report = optimize(n, restarts=50, seed=0)
         elapsed = time.perf_counter() - t0
         total += elapsed
         assert probability >= target - 1e-3, (n, probability)

@@ -37,7 +37,7 @@ from qrac.classical import (
 from qrac.codes import classical_comparison_scan, upper_bound
 from qrac.constructions import known_code
 from qrac.errors import CostLimitError
-from qrac.optimizer import OptimizerConfig, optimize
+from qrac.optimizer import optimize
 from qrac.sim import simulate_code
 
 QRAC2 = known_code("qrac2")
@@ -82,14 +82,13 @@ SITES = [
      -1, "step counts must be nonnegative, got (1, 1, {value})"),
     ("orthogonal_lower_bound", "n", orthogonal_lower_bound, 0, "n must be at least 1, got {value}"),
     ("best_axis_split", "n", best_axis_split, 0, "n must be at least 1, got {value}"),
-    ("optimize", "n", lambda v: optimize(v, OptimizerConfig(restarts=1)),
-     1, "n must be at least 2, got {value}"),
-    ("OptimizerConfig", "restarts", lambda v: OptimizerConfig(restarts=v),
-     0, "restarts must be an integer of at least 1, got {value!r}"),
+    ("optimize", "n", lambda v: optimize(v, restarts=1), 1, "n must be at least 2, got {value}"),
+    ("optimize", "restarts", lambda v: optimize(2, restarts=v),
+     0, "restarts must be at least 1, got {value}"),
     ("simulate_code", "trials_per_input", lambda v: simulate_code(QRAC2, v, 0),
      0, "trials_per_input must be at least 1, got {value}"),
-    ("OptimizerConfig", "seed", lambda v: OptimizerConfig(seed=v),
-     -1, "seed must be a non-negative integer, got {value!r}"),
+    ("optimize", "seed", lambda v: optimize(2, restarts=1, seed=v),
+     -1, "seed must be at least 0, got {value}"),
     ("simulate_code", "seed", lambda v: simulate_code(QRAC2, 1, v),
      -1, "seed must lie in 0..2**64 - 1, got {value}"),
 ]
@@ -110,13 +109,8 @@ NOT_COUNTS = {
 @pytest.mark.parametrize(("site", "parameter", "call", "least", "message"), SITES, ids=SITE_IDS)
 @pytest.mark.parametrize("value", [True, np.True_, 2.0], ids=["bool", "numpy-bool", "float"])
 def test_a_bool_or_a_float_is_refused(site, parameter, call, least, message, value):
-    if site == "OptimizerConfig":  # its documented ValueError names the value as given
-        with pytest.raises(ValueError) as info:
-            call(value)
-        assert str(info.value) == message.format(value=value)
-    else:
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            call(value)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(value)
 
 
 @pytest.mark.parametrize(("site", "parameter", "call", "least", "message"), SITES, ids=SITE_IDS)
@@ -178,8 +172,7 @@ NUMPY_CASES = [
     ("uniform_directions", lambda count: uniform_directions(count, np.random.default_rng(3)), (4,)),
     ("random_walk_distance_mc", lambda n, trials: random_walk_distance_mc(n, trials, 0), (3, 100)),
     ("simulate_code", lambda trials: simulate_code(QRAC2, trials, 0, randomize=True), (5,)),
-    ("optimize", lambda n, restarts: optimize(n, OptimizerConfig(restarts=restarts, seed=1)), (3, 2)),
-    ("OptimizerConfig", lambda restarts: OptimizerConfig(restarts=restarts), (3,)),
+    ("optimize", lambda n, restarts, seed: optimize(n, restarts=restarts, seed=seed), (3, 2, 1)),
 ]
 
 

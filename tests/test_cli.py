@@ -238,16 +238,27 @@ def test_eval_rejects_non_object_metadata(tmp_path, capsys, metadata):
     assert err == "error: metadata must be a JSON object\n"
 
 
-@pytest.mark.parametrize("metadata", [None, "missing"])
+@pytest.mark.parametrize("metadata", [None, "missing", {"name": None}])
 def test_eval_reads_null_or_missing_metadata_as_none(tmp_path, capsys, metadata):
     path = tmp_path / "code.json"
     document = code_document(known_code("qrac2"))
-    if metadata is None:
-        document["metadata"] = None
+    if metadata != "missing":
+        document["metadata"] = metadata
     path.write_text(json.dumps(document))
     code, out, _ = run(capsys, "code", "eval", "--json", str(path))
     assert code == 0
     assert out.startswith("name: -\n")
+
+
+@pytest.mark.parametrize("name", [0, ["a"], {"a": 1}, True, 1.5])
+def test_eval_rejects_a_name_that_is_not_a_string(tmp_path, capsys, name):
+    path = tmp_path / "code.json"
+    document = code_document(known_code("qrac2"))
+    document["metadata"] = {"name": name}
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "code", "eval", "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: metadata name must be a string or null, got {name!r}\n"
 
 
 #: Keys that are not 2-bit strings, among them three a careless array parse would take:
@@ -460,10 +471,11 @@ def test_optimize_cost_guard_exit_code(capsys):
 def test_optimize_validation_exit_code(capsys):
     code, _, _ = run(capsys, "optimize", "--n", "1")
     assert code == 2
-    # the config refuses the seed before numpy sees it, and the error names it
-    code, out, err = run(capsys, "optimize", "--n", "3", "--seed", "-1")
-    assert (code, out) == (2, "")
-    assert err == "error: seed must be a non-negative integer, got -1\n"
+    # optimize refuses each count before numpy sees it, by the shared rule's text
+    for flag, value, least in (("--restarts", "0", 1), ("--seed", "-1", 0)):
+        code, out, err = run(capsys, "optimize", "--n", "3", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag[2:]} must be at least {least}, got {value}\n"
 
 
 # ------------------------------------------------------------------ simulate

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,10 @@ def test_qrac_code_validation():
         QracCode(measurements=XYZ[:0], encodings=enc[:1])
     with pytest.raises(ValueError, match="measurements must be 2 unit 3-vectors"):
         QracCode(measurements=XYZ[:2, :2], encodings=enc)  # wrong width
+    # a flat vector is named by its shape, not read as three rows
+    flat = re.escape("measurements must be 3 unit 3-vectors as rows, got shape (3,)")
+    with pytest.raises(ValueError, match=flat):
+        s_value([0.0, 0.0, 1.0])
     for bad_row in ([1.0 + 1e-9, 0, 0], [0, 0, 0], [math.nan, 0, 0], [math.inf, 0, 0]):
         bad = enc.copy()
         bad[2] = bad_row

@@ -18,7 +18,6 @@ from qrac import optimizer
 from qrac.bloch import UNIT_TOLERANCE, BlochVector, uniform_directions
 from qrac.codes import QracCode
 from qrac.constructions import CONSTRUCTIONS
-from qrac.optimizer import OptimizerConfig
 
 
 def _sets() -> list[tuple[str, np.ndarray]]:
@@ -91,7 +90,7 @@ def test_named_sets_refused_where_expected():
 
 def test_returned_direction_sets_are_read_only_copies():
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    directions, _, _ = qrac.optimize(3, OptimizerConfig(restarts=2))
+    directions, _, _ = qrac.optimize(3, restarts=2)
     polished, _ = qrac.polish(rows)
     arrays = [
         directions,

@@ -40,7 +40,7 @@ from qrac.codes import (
 )
 from qrac.constructions import MAX_CIRCLES, GreatCircleArrangement, known_code
 from qrac.errors import CostLimitError
-from qrac.optimizer import MAX_OPTIMIZE_N, OptimizerConfig, optimize
+from qrac.optimizer import MAX_OPTIMIZE_N, optimize
 from qrac.sim import MAX_CELL_TRIALS, MAX_CELLS, simulate_code
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -63,7 +63,7 @@ GUARDS = [
         MAX_EVALUATE,
     ),
     ("parallelogram", lambda: parallelogram_check((Z,) * 25), 25, MAX_SIGN_ENUMERATION),
-    ("optimize", lambda: optimize(13, OptimizerConfig(restarts=1)), 13, MAX_OPTIMIZE_N),
+    ("optimize", lambda: optimize(13, restarts=1), 13, MAX_OPTIMIZE_N),
     (
         "classical-exact",
         lambda: optimal_classical_probability(MAX_CLASSICAL_N + 1),
@@ -141,7 +141,7 @@ def test_reworded_messages_read_exactly():
 
 def test_cli_prints_the_message_and_exits_3(capsys):
     with pytest.raises(CostLimitError) as info:
-        optimize(13, OptimizerConfig(restarts=1))
+        optimize(13, restarts=1)
     assert main(["optimize", "--n", "13", "--restarts", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

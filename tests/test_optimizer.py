@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,28 +21,37 @@ from qrac.bounds import orthogonal_lower_bound
 from qrac.codes import NEUTRAL_CUTOFF, evaluate, optimal_code, probability_from_s_value, s_value, upper_bound
 from qrac.constructions import construction_names, known_construction
 from qrac.errors import CostLimitError
-from qrac.optimizer import OptimizationReport, OptimizerConfig, optimize, polish
+from qrac.optimizer import OptimizationReport, optimize, polish
 from helpers import random_measurements, reference_restarts, reference_seesaw, sign_matrix
 
 
 def test_config_defaults_and_validation():
-    config = OptimizerConfig()
-    assert config.restarts == 50
-    assert config.seed == 0
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
+    # restarts and seed are keyword-only, 50 and 0 by default
+    parameters = list(inspect.signature(optimize).parameters.values())
+    assert [(p.name, p.kind, p.default) for p in parameters[1:]] == [
+        ("restarts", inspect.Parameter.KEYWORD_ONLY, 50),
+        ("seed", inspect.Parameter.KEYWORD_ONLY, 0),
+    ]
+    # an old optimize(n, config) call is refused, not read as a restart count
+    for config in (types.SimpleNamespace(restarts=3, seed=1), 3):
+        with pytest.raises(TypeError):
+            optimize(2, config)
+    with pytest.raises(ValueError, match="^restarts must be at least 1, got 0$"):
+        optimize(2, restarts=0)
     for value in (2.5, 2.0, "3", None, True, np.True_):
-        with pytest.raises(ValueError, match="restarts must be an integer of at least 1"):
-            OptimizerConfig(restarts=value)
-    assert OptimizerConfig(restarts=np.int64(2)).restarts == 2
-    assert OptimizerConfig(seed=np.int64(3)).seed == 3
-    for seed in (-1, 2.5, "3", None, False, True):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            OptimizerConfig(seed=seed)
+        with pytest.raises(TypeError):
+            optimize(2, restarts=value)
+    for seed in (2.5, "3", None, False, True):
+        with pytest.raises(TypeError):
+            optimize(2, restarts=1, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        optimize(2, restarts=1, seed=-1)
+    _, _, report = optimize(2, restarts=np.int64(2), seed=np.int64(3))
+    assert [t.restart for t in report.traces] == [0, 1]
     # the see-saw's step cap is the module constant MAX_ITERATIONS, not a setting
-    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
+    assert [f.name for f in dataclasses.fields(OptimizationReport)] == ["n", "traces", "best_restart"]
     with pytest.raises(TypeError):
-        OptimizerConfig(max_iterations=4000)
+        optimize(2, max_iterations=4000)
 
 
 def test_import_does_not_load_scipy():
@@ -67,13 +78,12 @@ def test_size_guards():
     with pytest.raises(ValueError):
         optimize(1)
     with pytest.raises(CostLimitError):
-        optimize(13, OptimizerConfig(restarts=1))
+        optimize(13, restarts=1)
 
 
 def test_determinism_bitwise():
-    config = OptimizerConfig(restarts=8, seed=7)
-    ms_a, p_a, report_a = optimize(3, config)
-    ms_b, p_b, report_b = optimize(3, config)
+    ms_a, p_a, report_a = optimize(3, restarts=8, seed=7)
+    ms_b, p_b, report_b = optimize(3, restarts=8, seed=7)
     assert p_a == p_b
     assert all(
         np.asarray(x).tobytes() == np.asarray(y).tobytes()
@@ -83,16 +93,15 @@ def test_determinism_bitwise():
 
 
 def test_seed_changes_search_path():
-    _, _, report_a = optimize(3, OptimizerConfig(restarts=3, seed=1))
-    _, _, report_b = optimize(3, OptimizerConfig(restarts=3, seed=2))
+    _, _, report_a = optimize(3, restarts=3, seed=1)
+    _, _, report_b = optimize(3, restarts=3, seed=2)
     assert [t.s_value for t in report_a.traces] != [t.s_value for t in report_b.traces]
 
 
 def test_report_shape():
-    config = OptimizerConfig(restarts=5, seed=11)
-    measurements, probability, report = optimize(2, config)
+    measurements, probability, report = optimize(2, restarts=5, seed=11)
     assert isinstance(report, OptimizationReport)
-    assert report.n == 2 and report.config == config
+    assert report.n == 2
     assert len(report.traces) == 5
     assert 0 <= report.best_restart < 5
     best = report.traces[report.best_restart]
@@ -103,14 +112,14 @@ def test_report_shape():
 
 def test_returned_probability_is_consistent_with_evaluate():
     for n in (2, 3, 4):
-        measurements, probability, _ = optimize(n, OptimizerConfig(restarts=4, seed=5))
+        measurements, probability, _ = optimize(n, restarts=4, seed=5)
         report = evaluate(optimal_code(measurements))
         assert report.average == pytest.approx(probability, abs=1e-10)
         assert probability <= upper_bound(n) + 1e-12
 
 
 def test_directions_are_unit_and_preferred_hemisphere():
-    measurements, _, _ = optimize(4, OptimizerConfig(restarts=3, seed=9))
+    measurements, _, _ = optimize(4, restarts=3, seed=9)
     for m in measurements:
         assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
         assert m[2] >= -1e-12
@@ -119,19 +128,19 @@ def test_directions_are_unit_and_preferred_hemisphere():
 def test_matches_orthogonal_bound_for_special_sizes():
     # at these sizes the even axis split is (numerically) optimal
     for n, restarts in ((2, 6), (3, 6), (4, 6), (9, 8)):
-        _, probability, _ = optimize(n, OptimizerConfig(restarts=restarts, seed=3))
+        _, probability, _ = optimize(n, restarts=restarts, seed=3)
         assert abs(probability - orthogonal_lower_bound(n)[0]) <= 1e-4, n
 
 
 def test_never_falls_far_below_orthogonal_bound():
     for n in range(2, 13):
         restarts = 6 if n >= 10 else 4
-        _, probability, _ = optimize(n, OptimizerConfig(restarts=restarts, seed=3))
+        _, probability, _ = optimize(n, restarts=restarts, seed=3)
         assert probability >= orthogonal_lower_bound(n)[0] - 1e-3, n
 
 
 def test_quality_small_case_with_few_restarts():
-    _, probability, _ = optimize(2, OptimizerConfig(restarts=10, seed=1))
+    _, probability, _ = optimize(2, restarts=10, seed=1)
     assert probability >= 0.85345
 
 
@@ -177,7 +186,7 @@ def test_polish_probability_is_the_kernel_score_of_its_result(rng):
 
 def test_polish_takes_only_directions():
     with pytest.raises(TypeError):
-        polish(known_construction("qrac3").measurements, OptimizerConfig())
+        polish(known_construction("qrac3").measurements, 50)
 
 
 def test_polish_single_measurement_is_trivial():
@@ -299,9 +308,8 @@ def test_stacked_seesaw_matches_reference_when_one_restart_runs_on_alone():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_optimize_matches_reference_restart_loop(n):
     # the criterion-7 configuration
-    config = OptimizerConfig(restarts=50, seed=0)
-    measurements, _, report = optimize(n, config)
-    traces, best_dirs = reference_restarts(n, config)
+    measurements, _, report = optimize(n, restarts=50, seed=0)
+    traces, best_dirs = reference_restarts(n, restarts=50, seed=0)
     assert list(report.traces) == traces
     assert report.best_restart == max(traces, key=lambda t: t.s_value).restart
     best_dirs = best_dirs.copy()
@@ -310,15 +318,14 @@ def test_optimize_matches_reference_restart_loop(n):
 
 
 def test_restart_blocks_bound_memory_and_keep_traces(monkeypatch):
-    config = OptimizerConfig(restarts=200)
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     tracemalloc.start()
     try:
-        _, _, report = optimize(12, config)
+        _, _, report = optimize(12, restarts=200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     monkeypatch.setattr(optimizer, "_CHUNK", 1)
-    _, _, one_at_a_time = optimize(12, config)
+    _, _, one_at_a_time = optimize(12, restarts=200)
     assert one_at_a_time.traces == report.traces

@@ -32,7 +32,7 @@ def _load_tracing(monkeypatch) -> types.ModuleType:
 def _call_every_target(capsys) -> None:
     axes = (qrac.Measurement(qrac.BlochVector(1.0, 0.0, 0.0)), qrac.BlochVector(0.0, 1.0, 0.0))
     code = qrac.optimal_code(axes)
-    qrac.optimize(2, qrac.OptimizerConfig(restarts=1))
+    qrac.optimize(2, restarts=1)
     qrac.polish(np.eye(3))
     qrac.s_value(axes)
     qrac.evaluate(code)
