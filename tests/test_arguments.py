@@ -173,6 +173,7 @@ NUMPY_CASES = [
     ("random_walk_distance_mc", lambda n, trials: random_walk_distance_mc(n, trials, 0), (3, 100)),
     ("simulate_code", lambda trials: simulate_code(QRAC2, trials, 0, randomize=True), (5,)),
     ("optimize", lambda n, restarts, seed: optimize(n, restarts=restarts, seed=seed), (3, 2, 1)),
+    ("optimize-restarts", lambda restarts: optimize(3, restarts=restarts), (3,)),
 ]
 
 
