@@ -7,6 +7,11 @@ array by the SHA-256 of its bytes, printed text by repr).  These outputs
 have the same bits on every OpenBLAS kernel tried (ROADMAP item 2).
 classical_bounds is left out: its math.exp is the host libm's.
 
+The simulator's frequencies and p0 thresholds, and the Monte Carlo walk, use
+no BLAS.  The walk runs on one worker and on two under one digest, so the
+two must agree.  `qrac code show` prints `evaluate`'s cells, whose last bits
+are the kernel's, to six decimals, which matched on every kernel tried.
+
 The direction sets are the named constructions and, for each n = 1..18, n
 uniform directions from a generator seeded with n; their sines and cosines
 come from numpy's own loops, which the host's CPU features pick.  The
@@ -23,12 +28,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from qrac import cli
+from qrac import bounds, cli
 from qrac.bloch import uniform_directions
 from qrac.bounds import best_axis_split, orthogonal_lower_bound, random_lower_bound_asymptotic
 from qrac.classical import (
@@ -38,7 +44,8 @@ from qrac.classical import (
     optimal_classical_probability,
 )
 from qrac.codes import optimal_code, s_value, upper_bound
-from qrac.constructions import construction_names, known_construction
+from qrac.constructions import construction_names, known_code, known_construction
+from qrac.sim import _thresholds, simulate_code
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -64,11 +71,49 @@ def _directions(name: str) -> np.ndarray:
     return known_construction(name).measurements
 
 
-def _optimize_stdout(n: int) -> str:
+def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(["optimize", "--n", str(n), "--restarts", "8", "--seed", "0"])
+        cli.main(argv)
     return out.getvalue()
+
+
+def _optimize_stdout(n: int) -> str:
+    return _stdout(["optimize", "--n", str(n), "--restarts", "8", "--seed", "0"])
+
+
+#: (code, trials, seed, randomize) for every named code with n <= 9
+SIMULATIONS = tuple(
+    itertools.product(
+        (name for name in construction_names() if known_construction(name).n <= 9),
+        (1, 7),
+        (0, 2**64 - 1),
+        (False, True),
+    )
+)
+
+
+def _frequencies(case: tuple[str, int, int, bool]) -> bytes:
+    name, trials, seed, randomize = case
+    return simulate_code(known_code(name), trials, seed, randomize).frequencies.tobytes()
+
+
+#: (n, trials) on both sides of a sub-block (2^13 floats) and a block (2^18 rows)
+WALKS = tuple(itertools.product((2, 3, 8), (1, 2**13 - 1, 2**13 + 1, 2**18, 2**18 + 1)))
+
+
+def _walks(case: tuple[int, int]) -> str:
+    """The estimate at seed 0 on one worker, then on two: "mean std_error" each."""
+    found = bounds._walk_workers
+    lines = []
+    try:
+        for workers in (1, 2):
+            bounds._walk_workers = lambda: workers
+            estimate = bounds.random_walk_distance_mc(*case, 0)
+            lines.append(f"{estimate.mean_distance.hex()} {estimate.std_error.hex()}")
+    finally:
+        bounds._walk_workers = found
+    return ", ".join(lines)
 
 
 #: name -> (function, arguments, how one result is written)
@@ -87,6 +132,12 @@ CASES = {
         lambda name: optimal_code(_directions(name)).encodings.tobytes(), DIRECTION_SETS, _sha256
     ),
     "optimize_stdout": (_optimize_stdout, range(2, 10), repr),
+    "simulate_code": (_frequencies, SIMULATIONS, _sha256),
+    "thresholds": (lambda name: _thresholds(known_code(name)).tobytes(), construction_names(), _sha256),
+    "random_walk_distance_mc": (_walks, WALKS, str),
+    "code_show_stdout": (
+        lambda name: _stdout(["code", "show", "--name", name]), construction_names(), repr
+    ),
 }
 
 
@@ -98,10 +149,13 @@ def digest(name: str) -> str:
 
 
 def _label(arguments) -> str:
-    """A range as "first..last", any other sequence as its items joined by spaces."""
+    """A range as "first..last", any other sequence as its items joined by spaces.
+
+    A tuple item is written with its fields joined by "/".
+    """
     if isinstance(arguments, range):
         return f"{arguments[0]}..{arguments[-1]}"
-    return " ".join(map(str, arguments))
+    return " ".join("/".join(map(str, a)) if isinstance(a, tuple) else str(a) for a in arguments)
 
 
 def main() -> None:
