@@ -78,12 +78,15 @@ def _seesaw(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     converged result is a fixed point of the next call.  Each restart's
     result is bit-identical to running it alone.  A restart is cut off after
     MAX_ITERATIONS steps; both stop rules are read from the module per call.
+    The input stack is never written.
 
-    A step is the two GEMMs and 15 other numpy calls, all writing into
-    buffers allocated once per stack; when restarts leave, the others move to
-    the leading rows and the steps go on in leading slices.  The
-    neutral-sum `where` and the vanished-pull `where=` run only on a step whose
-    min() finds a row that needs them.  The loop keeps half of each s, the sum
+    A step is the two GEMMs and 15 other numpy calls.  Its only stack-sized
+    arrays are the sums, their norms and one scratch of the sums' shape: the
+    encodings are formed in the scratch, and once the pulls are taken the
+    moved directions' sums and norms overwrite the spent ones.  When
+    restarts leave, the others are copied out by indexing.  The neutral-sum
+    `where` and the vanished-pull `where=` run only on a step whose min()
+    finds a row that needs them.  The loop keeps half of each s, the sum
     over x_n = 0, and stalls on a half gain below STALL_TOLERANCE / 2.  That is
     the full test exactly, since doubling is exact: 2a - 2b < T exactly when
     a - b < T / 2.  A restart's s is doubled once, when it leaves the stack.
@@ -93,30 +96,25 @@ def _seesaw(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     signs, least = half.T, np.minimum.reduce
     final_dirs, final_s, active = np.empty_like(dirs), np.empty(count), np.arange(count)
     steps, converged = np.full(count, MAX_ITERATIONS), np.zeros(count, dtype=bool)
-    dirs = dirs.copy()  # becomes a buffer of later steps
     sums = half @ dirs
-    norms = _norms(sums)
+    scratch = np.empty_like(sums)
+    norms = _norms(sums, scratch=scratch)
     s = norms.sum(axis=-1)  # half of each restart's s
-    spare = [np.empty_like(dirs), np.empty_like(sums), np.empty_like(norms)]
-    encodings, pulls, squares = np.empty_like(sums), np.empty_like(dirs), np.empty_like(dirs)
-    lengths = np.empty(dirs.shape[:2])
     for step in range(1, MAX_ITERATIONS + 1):
-        moved, moved_sums, moved_norms = spare
         denominators = norms
         if not least(norms, None) >= NEUTRAL_CUTOFF:  # a NaN norm takes this path too
             denominators = np.where(norms < NEUTRAL_CUTOFF, np.inf, norms)
         # coordinate-major views and order="C" give the divide long inner loops
-        np.divide(sums.transpose(2, 0, 1), denominators, out=encodings.transpose(2, 0, 1), order="C")
-        np.matmul(signs, encodings, out=pulls)
-        _norms(pulls, lengths, squares)
+        np.divide(sums.transpose(2, 0, 1), denominators, out=scratch.transpose(2, 0, 1), order="C")
+        pulls = np.matmul(signs, scratch)
+        lengths = _norms(pulls)[..., None]
         if least(lengths, None) > 0.0:
-            np.divide(pulls, lengths[..., None], out=moved)
+            moved = pulls / lengths
         else:  # a vanished pull keeps its direction
-            np.copyto(moved, dirs)
-            np.divide(pulls, lengths[..., None], out=moved, where=lengths[..., None] > 0.0)
-        np.matmul(half, moved, out=moved_sums)
-        _norms(moved_sums, moved_norms, encodings)
-        moved_s = np.add.reduce(moved_norms, axis=-1)
+            moved = np.divide(pulls, lengths, out=dirs.copy(), where=lengths > 0.0)
+        np.matmul(half, moved, out=sums)  # the encodings are spent
+        _norms(sums, norms, scratch)
+        moved_s = np.add.reduce(norms, axis=-1)
         gains = moved_s - s
         # a NaN gain makes the min() NaN, which fails >= and takes the mask
         if not least(gains) >= STALL_TOLERANCE / 2 and (stalled := gains < STALL_TOLERANCE / 2).any():
@@ -125,19 +123,11 @@ def _seesaw(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
             steps[done], converged[done] = step, True
             going = ~stalled
             active = active[going]
-            size = active.size
-            if size == 0:
+            if active.size == 0:
                 return final_dirs, final_s, steps, converged
-            # the going restarts move to the leading rows of the free buffers,
-            # and the shrunk stack works on leading slices of every buffer
-            for moved_part, free in zip(spare, (dirs, sums, norms)):
-                np.compress(going, moved_part, axis=0, out=free[:size])
-            spare = [moved[:size], moved_sums[:size], moved_norms[:size]]
-            dirs, sums, norms, s = dirs[:size], sums[:size], norms[:size], moved_s[going]
-            encodings, pulls, squares, lengths = encodings[:size], pulls[:size], squares[:size], lengths[:size]
-        else:
-            spare = [dirs, sums, norms]
-            dirs, sums, norms, s = moved, moved_sums, moved_norms, moved_s
+            sums, norms, moved, moved_s = sums[going], norms[going], moved[going], moved_s[going]
+            scratch = scratch[: active.size]
+        dirs, s = moved, moved_s
     final_dirs[active], final_s[active] = dirs, 2.0 * s
     return final_dirs, final_s, steps, converged
 

@@ -104,16 +104,16 @@ WALKS = tuple(itertools.product((2, 3, 8), (1, 2**13 - 1, 2**13 + 1, 2**18, 2**1
 
 def _walks(case: tuple[int, int]) -> str:
     """The estimate at seed 0 on one worker, then on two: "mean std_error" each."""
-    found = bounds._walk_workers
-    lines = []
+    saved = bounds._walk_workers
+    estimates = []
     try:
         for workers in (1, 2):
             bounds._walk_workers = lambda: workers
             estimate = bounds.random_walk_distance_mc(*case, 0)
-            lines.append(f"{estimate.mean_distance.hex()} {estimate.std_error.hex()}")
+            estimates.append(f"{estimate.mean_distance.hex()} {estimate.std_error.hex()}")
     finally:
-        bounds._walk_workers = found
-    return ", ".join(lines)
+        bounds._walk_workers = saved
+    return ", ".join(estimates)
 
 
 #: name -> (function, arguments, how one result is written)

@@ -230,9 +230,20 @@ def test_norms_match_linalg_norm(rng):
     assert np.array_equal(lengths, np.linalg.norm(stacked, axis=-1))
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_stacked_seesaw_matches_reference_loop(n, monkeypatch):
     rng = np.random.default_rng(100 + n)
+    if n > 10:
+        # the largest stacks, under a cap: three random starts run to it, and
+        # repeated axes stall at step 1 and leave from the middle of the stack
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 25)
+        starts = np.stack([uniform_directions(n, rng) for _ in range(3)])
+        _assert_matches_reference(starts)
+        starts[1] = np.tile(np.eye(3), (n // 3 + 1, 1))[:n]
+        _, _, steps, _ = optimizer._seesaw(starts)
+        assert steps.tolist() == [25, 1, 25]
+        _assert_matches_reference(starts)
+        return
     for count in (1, 3):
         starts = np.stack([uniform_directions(n, rng) for _ in range(count)])
         _assert_matches_reference(starts)
@@ -282,6 +293,26 @@ def test_stacked_seesaw_takes_both_guarded_branches_in_a_mixed_stack(monkeypatch
     for cap in (optimizer.MAX_ITERATIONS, 2):
         monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
         _assert_matches_reference(starts)
+
+
+def test_seesaw_never_writes_its_input(monkeypatch):
+    # restarts that stall at different steps, and the two guarded branches:
+    # a repeated start (S_x = 0) and a zero row (a vanished pull)
+    rng = np.random.default_rng(9)
+    x = np.eye(3)[0]
+    starts = np.stack(
+        [uniform_directions(6, rng) for _ in range(6)]
+        + [np.tile(x, (6, 1)), np.array([np.zeros(3), x, x, x, x, x])]
+    )
+    before = starts.tobytes()
+    starts.setflags(write=False)  # a write would raise
+    for cap in (optimizer.MAX_ITERATIONS, 2):
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
+        optimizer._seesaw(starts)
+        assert starts.tobytes() == before
+    writable = np.array(starts)
+    optimizer._seesaw(writable)
+    assert writable.tobytes() == before
 
 
 def test_stacked_seesaw_matches_reference_when_cut_off(monkeypatch):
