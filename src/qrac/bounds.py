@@ -281,20 +281,18 @@ def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:
 def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
     """Best axis-aligned strategy over every split x >= y >= z of n.
 
-    Scores each split with the exact lattice walk and returns
-    (probability, split); among equal maximizers the lexicographically
-    smallest split wins.  Perhaps surprisingly, the maximizer is not always
+    Scores the splits in lexicographic order with the exact lattice walk and
+    returns (probability, split) of the first maximum, the smallest among
+    equal maximizers.  Perhaps surprisingly, the maximizer is not always
     the even split: (3,1,1), (3,2,1) and (3,3,1) beat it at n = 5, 6, 7.
     Above MAX_LATTICE_WALK the first walk's guard raises CostLimitError.
     """
     n = _at_least(n, 1, "n")
-    best_probability = -1.0
-    best_split = (n, 0, 0)
-    for x in range((n + 2) // 3, n + 1):
-        for y in range((n - x + 1) // 2, min(x, n - x) + 1):
-            z = n - x - y
-            probability = _walk_probability(lattice_walk_distance(x, y, z), n)
-            if probability > best_probability:
-                best_probability = probability
-                best_split = (x, y, z)
-    return best_probability, best_split
+    splits = [
+        (x, y, n - x - y)
+        for x in range((n + 2) // 3, n + 1)
+        for y in range((n - x + 1) // 2, min(x, n - x) + 1)
+    ]
+    scores = [_walk_probability(lattice_walk_distance(*split), n) for split in splits]
+    best = scores.index(max(scores))
+    return scores[best], splits[best]

@@ -411,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CostLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,9 @@ alternates the two closed-form best responses (the see-saw iteration):
 r_x = S_x / |S_x| for fixed directions, then v_i = normalize(sum_x
 (-1)^(x_i) r_x) for fixed encodings.  Neither step lowers s.
 
-All restarts run as one stacked (R, n, 3) array, in blocks of at most
-codes._CHUNK sign-pattern rows, so memory is bounded for any restart count.
+The restarts run as stacked (R, n, 3) arrays of at most codes._CHUNK
+sign-pattern rows each, so the see-saw's memory is bounded per stack; the
+joined per-restart columns, like the traces, grow by one row per restart.
 Stacked matmul makes one GEMM call per restart, so every result is
 bit-identical to running the restarts one at a time.  Those bits are the host
 BLAS kernel's, as `evaluate`'s cells are (codes names those no kernel changes):
@@ -141,12 +142,12 @@ def optimize(n: int, *, restarts: int = 50, seed: int = 0) -> tuple[np.ndarray, 
     """Search for the best n measurement directions from random starts.
 
     Each start is n uniform directions drawn from one seeded generator
-    (bloch.uniform_directions), improved by the see-saw iteration, and the
-    restarts are reduced by taking the best final objective; ties keep the
-    earliest restart.  The restarts run as one stacked array, in blocks of at
-    most codes._CHUNK sign-pattern rows whose starts are drawn just before the
-    block runs, in restart order; every trace is bit-identical to running the
-    restarts one at a time.  The returned directions, a read-only (n, 3)
+    (bloch.uniform_directions) and improved by the see-saw iteration.  The
+    restarts run in stacks of at most codes._CHUNK sign-pattern rows, each
+    drawn just before it runs, in restart order; every trace is bit-identical
+    to running the restarts one at a time.  The stacks' columns are joined and
+    ranked once: the best restart is the first with the largest final s, so
+    ties keep the earliest.  The returned directions, a read-only (n, 3)
     array, are canonicalized to the upper hemisphere (rows with negative z are
     negated, which never changes the objective) and rescored, so the returned
     probability matches the returned directions exactly.
@@ -161,24 +162,20 @@ def optimize(n: int, *, restarts: int = 50, seed: int = 0) -> tuple[np.ndarray, 
     restarts, seed = _at_least(restarts, 1, "restarts"), _at_least(seed, 0, "seed")
     _check_size(n)
     rng = np.random.default_rng(seed)
-    block = max(1, _CHUNK >> (n - 1))  # restarts per block
-    traces: list[RestartTrace] = []
-    best_s = -np.inf
-    for first in range(0, restarts, block):
-        starts = [uniform_directions(n, rng) for _ in range(min(block, restarts - first))]
-        dirs, s_values, steps, converged = _seesaw(np.stack(starts))
-        traces.extend(
-            RestartTrace(
-                first + k, s, probability_from_s_value(s, n), int(steps[k]), bool(converged[k])
-            )
-            for k, s in enumerate(s_values.tolist())
-        )
-        k = int(np.argmax(s_values))  # the first maximum: ties keep the earliest restart
-        if s_values[k] > best_s:
-            best_dirs, best_s, best_restart = dirs[k], s_values[k], first + k
-    best_dirs = np.where(best_dirs[:, 2:] < 0.0, -best_dirs, best_dirs)
+    block = max(1, _CHUNK >> (n - 1))  # restarts per stack
+    stacks = (
+        _seesaw(np.stack([uniform_directions(n, rng) for _ in range(first, min(first + block, restarts))]))
+        for first in range(0, restarts, block)
+    )
+    dirs, s_values, steps, converged = map(np.concatenate, zip(*stacks))
+    traces = tuple(
+        RestartTrace(k, s, probability_from_s_value(s, n), int(steps[k]), bool(converged[k]))
+        for k, s in enumerate(s_values.tolist())
+    )
+    best_restart = int(np.argmax(s_values))  # the first maximum: ties keep the earliest restart
+    best_dirs = np.where(dirs[best_restart][:, 2:] < 0.0, -dirs[best_restart], dirs[best_restart])
     best_dirs.setflags(write=False)
-    report = OptimizationReport(n=n, traces=tuple(traces), best_restart=best_restart)
+    report = OptimizationReport(n=n, traces=traces, best_restart=best_restart)
     return best_dirs, probability_from_s_value(_norm_sum_and_neutral(best_dirs)[0], n), report
 
 

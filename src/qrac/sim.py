@@ -133,7 +133,7 @@ def _word_budget(n: int, trials: int) -> int:
         accept = n / (1 << (n - 1).bit_length())
         mean = trials / accept
         sigma = math.sqrt(trials * (1.0 - accept)) / accept
-        shift_halves = max(trials, math.ceil(mean + _MARGIN_SIGMAS * sigma))
+        shift_halves = math.ceil(mean + _MARGIN_SIGMAS * sigma)
     return trials + (trials + shift_halves + 1) // 2
 
 

@@ -578,6 +578,16 @@ def test_regions_rejects_non_finite_normals(capsys, tmp_path, bad):
     assert "cannot normalize" in err
 
 
+def test_regions_circle_lengths_end_where_the_square_overflows(capsys, tmp_path):
+    # a normal's length is the root of its squares, so one longer than about
+    # 1.34e154, whose square no float holds, reads as length inf and is refused
+    path = tmp_path / "circles.json"
+    refused = "error: circle 1: cannot normalize a vector of length inf\n"
+    for length, expected in ((1e150, (0, "8\n", "")), (1e200, (2, "", refused))):
+        path.write_text(json.dumps([[length, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert run(capsys, "regions", "--circles", str(path)) == expected
+
+
 @pytest.mark.parametrize("name", construction_names())
 def test_regions_export_reads_back_as_circles(capsys, tmp_path, name):
     # an --export file is a {"circles": [...]} object that --circles takes back

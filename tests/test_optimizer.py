@@ -348,15 +348,32 @@ def test_optimize_matches_reference_restart_loop(n):
     assert np.array_equal(measurements, best_dirs)
 
 
+@pytest.mark.parametrize("n, seed, best_stack", [(12, 0, 2), (12, 2, 1), (11, 4, 0)])
+def test_optimize_matches_reference_across_stacks(n, seed, best_stack, monkeypatch):
+    # 70 restarts run as stacks of 32 + 32 + 6 at n = 12 and 64 + 6 at n = 11;
+    # the best restart must win over every stack, whichever one holds it
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 30)
+    measurements, _, report = optimize(n, restarts=70, seed=seed)
+    traces, best_dirs = reference_restarts(n, restarts=70, seed=seed)
+    assert list(report.traces) == traces
+    assert report.best_restart == max(traces, key=lambda t: t.s_value).restart
+    assert report.best_restart // (optimizer._CHUNK >> (n - 1)) == best_stack
+    best_dirs = best_dirs.copy()
+    best_dirs[best_dirs[:, 2] < 0.0] *= -1.0
+    assert np.array_equal(measurements, best_dirs)
+
+
 def test_restart_blocks_bound_memory_and_keep_traces(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     tracemalloc.start()
     try:
-        _, _, report = optimize(12, restarts=200)
+        measurements, probability, report = optimize(12, restarts=200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     monkeypatch.setattr(optimizer, "_CHUNK", 1)
-    _, _, one_at_a_time = optimize(12, restarts=200)
+    one_measurements, one_probability, one_at_a_time = optimize(12, restarts=200)
     assert one_at_a_time.traces == report.traces
+    assert one_at_a_time.best_restart == report.best_restart
+    assert np.array_equal(one_measurements, measurements) and one_probability == probability
