@@ -12,8 +12,10 @@ Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
 by its mirror multiplicity; power-of-two scaling is exact, so the correctly
-rounded sum is bit for bit the unfolded one.  Every count (n, trials, the
-step counts) is read by errors._integer: a bool or a float is a TypeError.
+rounded sum is bit for bit the unfolded one; the best axis split sums only
+the splits near the top exactly, screened by plain float sums.  Every count
+(n, trials, the step counts) is read by errors._integer: a bool or a float
+is a TypeError.
 """
 
 from __future__ import annotations
@@ -246,6 +248,11 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     the terms with one final rounding, so the result is the unfolded sum's.
     """
     x, y, z = _integer(x), _integer(y), _integer(z)
+    return math.fsum(_walk_terms(x, y, z).ravel().tolist()) / (1 << (x + y + z))
+
+
+def _walk_terms(x: int, y: int, z: int) -> np.ndarray:
+    """The folded walk's (i, j, k) terms; the guard refuses before any table is built."""
     if min(x, y, z) < 0:
         raise ValueError(f"step counts must be nonnegative, got ({x}, {y}, {z})")
     n = x + y + z
@@ -258,8 +265,7 @@ def lattice_walk_distance(x: int, y: int, z: int) -> float:
     (wx, dx), (wy, dy), (wz, dz) = (_axis_terms(m) for m in (x, y, z))
     weights = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
     squared = dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
-    terms = weights * np.sqrt(squared)
-    return math.fsum(terms.ravel().tolist()) / (1 << n)
+    return weights * np.sqrt(squared)
 
 
 def orthogonal_lower_bound(n: int) -> tuple[float, tuple[int, int, int]]:
@@ -285,7 +291,9 @@ def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
     returns (probability, split) of the first maximum, the smallest among
     equal maximizers.  Perhaps surprisingly, the maximizer is not always
     the even split: (3,1,1), (3,2,1) and (3,3,1) beat it at n = 5, 6, 7.
-    Above MAX_LATTICE_WALK the first walk's guard raises CostLimitError.
+    Only the splits whose plain float sum is within 1e-9 relative of the
+    largest get the exact walk, which changes no bit of the result.  Above
+    MAX_LATTICE_WALK the first split's guard raises CostLimitError.
     """
     n = _at_least(n, 1, "n")
     splits = [
@@ -293,6 +301,11 @@ def best_axis_split(n: int) -> tuple[float, tuple[int, int, int]]:
         for x in range((n + 2) // 3, n + 1)
         for y in range((n - x + 1) // 2, min(x, n - x) + 1)
     ]
-    scores = [_walk_probability(lattice_walk_distance(*split), n) for split in splits]
+    totals = [float(_walk_terms(*split).sum()) for split in splits]
+    # a float sum of m <= 1,331 positive terms is within about m * 2^-53 of the
+    # exact one relatively (Higham 2002, ch. 4), far inside this margin
+    floor = max(totals) * (1.0 - 1e-9)
+    kept = [split for split, total in zip(splits, totals) if total >= floor]
+    scores = [_walk_probability(lattice_walk_distance(*split), n) for split in kept]
     best = scores.index(max(scores))
-    return scores[best], splits[best]
+    return scores[best], kept[best]

@@ -11,7 +11,8 @@ MAX_CELLS cells 2^n * n, or MAX_CELL_TRIALS cell-trials 2^n * n * trials.
 Stream contract.  Every cell reads its own Philox4x64-10 stream, keyed by the
 two 64-bit words (seed, x_index * n + position) with counter 0, so a report
 depends only on the raw words of numpy's Philox bit generator, which numpy
-keeps stable across versions.  The words are consumed in a fixed order:
+keeps stable across versions, and not on how cells are grouped into blocks.
+The words are consumed in a fixed order:
 
 * With randomization, first a stream of 32-bit halves, the low half of each
   word before its high half.  A draw from 0..2^b - 1 is a half shifted right
@@ -51,10 +52,14 @@ MAX_CELL_TRIALS = 10**8
 #: rotation table 4 * 2^ceil(log2 n) / n more.
 MAX_CELLS = 1 << 20
 
-#: Cells are simulated together in blocks of at most this many cell-trials
-#: (one cell per block when trials_per_input is larger), which bounds the
-#: working arrays at a few MB whatever the size of the run.
-_BLOCK_CELL_TRIALS = 1 << 14
+#: Cells are simulated together in blocks of at most this many cell-trials,
+#: one cell per block when trials_per_input is larger.  A randomized block's
+#: working arrays peak at about 50-80 bytes a cell-trial and a plain one's at
+#: about 20, so near 2 MiB at this size; above it one cell's arrays grow with
+#: trials_per_input at that rate, which no guard bounds (ROADMAP, the guards
+#: item).  Over the named codes at 1 to 10^4 trials, 2^14 was up to 25%
+#: slower, and 2^16 no faster at 500 trials with twice the arrays.
+_BLOCK_CELL_TRIALS = 1 << 15
 
 #: Standard deviations of shift-rejection draws budgeted above the mean; a
 #: cell that still runs out of words is redrawn with twice the words.
@@ -222,7 +227,8 @@ def simulate_code(
     position), as the module docstring sets out, so reports are reproducible
     and independent of execution order.  `seed` must lie in 0..2^64 - 1, and
     trials_per_input is an integer of at least 1 (errors._at_least).
-    Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials.
+    Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials, which
+    changes no bit of the report.
     """
     trials = _at_least(trials_per_input, 1, "trials_per_input")
     seed = _philox_key(seed)

@@ -314,6 +314,34 @@ def test_axis_bounds_match_reference_bitwise():
         assert best_axis_split(n) == max(scan, key=lambda entry: entry[0]), n
 
 
+def test_plain_sums_of_the_splits_stay_within_their_error():
+    # best_axis_split screens by plain float sums with a 1e-9 relative margin;
+    # that is sound only while each plain sum is far closer to its exact sum
+    scanned = 0
+    for n in range(1, MAX_LATTICE_WALK + 1):
+        for x in range((n + 2) // 3, n + 1):
+            for y in range((n - x + 1) // 2, min(x, n - x) + 1):
+                terms = bounds._walk_terms(x, y, n - x - y)
+                exact = math.fsum(terms.ravel().tolist())
+                assert abs(float(terms.sum()) - exact) <= 1e-12 * exact, (x, y, n - x - y)
+                scanned += 1
+    assert scanned == 7_105
+
+
+def test_best_axis_split_walks_only_the_screened_splits(monkeypatch):
+    expected = best_axis_split(MAX_LATTICE_WALK)
+    walk = bounds.lattice_walk_distance
+    walked = []
+
+    def counted(x, y, z):
+        walked.append((x, y, z))
+        return walk(x, y, z)
+
+    monkeypatch.setattr(bounds, "lattice_walk_distance", counted)
+    assert best_axis_split(MAX_LATTICE_WALK) == expected
+    assert 1 <= len(walked) <= 3, walked  # of 331 splits
+
+
 def test_orthogonal_lower_bound_table():
     for n, expected in TABLE_ORTHOGONAL.items():
         value, split = orthogonal_lower_bound(n)

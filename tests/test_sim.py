@@ -242,6 +242,28 @@ def test_cells_that_run_out_of_words_are_redrawn(monkeypatch):
         assert np.array_equal(got.ravel()[cells], want), (code.n, trials)
 
 
+def test_block_size_changes_no_frequency(monkeypatch):
+    # the stream contract is per cell, so no grouping of cells into blocks
+    # moves a bit.  qrac9 runs only at blocks of many cells: at one or two
+    # cells a block it takes seconds, and qrac3 and sym4 cover those sizes.
+    cases = [(name, trials) for name in ("qrac3", "sym4") for trials in (1, 7, 500)] + [("qrac9", 500)]
+
+    def run(name, trials, randomize):
+        return simulate_code(known_code(name), trials, 4, randomize=randomize).frequencies
+
+    want = {(case, r): run(*case, r) for case in cases for r in (False, True)}
+    for block in (1, 1 << 10, 1 << 14, sim._BLOCK_CELL_TRIALS, 1 << 20):
+        monkeypatch.setattr(sim, "_BLOCK_CELL_TRIALS", block)
+        for (case, r), expected in want.items():
+            if case[0] != "qrac9" or block >= 1 << 14:
+                assert np.array_equal(run(*case, r), expected), (block, case, r)
+    # cells that run out of words are redrawn, at small and large blocks alike
+    monkeypatch.setattr(sim, "_MARGIN_SIGMAS", -3.0)
+    for block in (1 << 10, 1 << 20):
+        monkeypatch.setattr(sim, "_BLOCK_CELL_TRIALS", block)
+        assert np.array_equal(run("qrac3", 7, True), want[("qrac3", 7), True]), block
+
+
 def test_seeds_cover_the_whole_64_bit_range():
     code = known_code("qrac2")
     high = [simulate_code(code, 50, seed, randomize=True).frequencies for seed in (2**63, 2**63 + 5)]
@@ -259,8 +281,8 @@ def test_seeds_cover_the_whole_64_bit_range():
 
 
 def test_simulation_memory_stays_bounded():
-    # blocks of 2**14 cell-trials peak near 2 MB here; blocks of 2**20 peak
-    # near 120 MB, and arrays over the whole run would be larger still
+    # blocks of 2**15 cell-trials peak near 2 MiB here; blocks of 2**20 peak
+    # near 58 MiB, and arrays over the whole run would be larger still
     code = known_code("qrac9")
     tracemalloc.start()
     try:
