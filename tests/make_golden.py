@@ -4,7 +4,10 @@ Each digest covers one function over a sequence of arguments, one line per
 argument: the argument, then the result written exactly (a Fraction or a
 bool by str, a float by float.hex, an axis split after its probability, an
 array by the SHA-256 of its bytes, printed text by repr).  These outputs
-have the same bits on every OpenBLAS kernel tried (ROADMAP item 2).
+have the same bits on every OpenBLAS kernel tried.  CI runs tier-1, and so
+these digests, on the default, Haswell and Nehalem kernels (README, Tests):
+they are its check that the printed lines of `qrac optimize` and `code show`
+and the simulator's frequencies do not change with the kernel.
 classical_bounds is left out: its math.exp is the host libm's.
 
 The simulator's frequencies and p0 thresholds, and the Monte Carlo walk, use
@@ -15,8 +18,9 @@ are the kernel's, to six decimals, which matched on every kernel tried.
 The direction sets are the named constructions and, for each n = 1..18, n
 uniform directions from a generator seeded with n; their sines and cosines
 come from numpy's own loops, which the host's CPU features pick.  The
-`qrac optimize` lines are printed to six decimals, which matched on every
-kernel tried, though the see-saw's last bits are the kernel's.
+`qrac optimize` lines, at 8 restarts and at the CLI's default 50
+(optimize_stdout_restarts50), are printed to six decimals, which matched on
+every kernel tried, though the see-saw's last bits are the kernel's.
 
 Run `PYTHONPATH=src python tests/make_golden.py` to rewrite the file.  A
 change that moves a digest rewrites the file and names every moved digest,
@@ -78,8 +82,8 @@ def _stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _optimize_stdout(n: int) -> str:
-    return _stdout(["optimize", "--n", str(n), "--restarts", "8", "--seed", "0"])
+def _optimize_stdout(n: int, restarts: int) -> str:
+    return _stdout(["optimize", "--n", str(n), "--restarts", str(restarts), "--seed", "0"])
 
 
 #: (code, trials, seed, randomize) for every named code with n <= 9
@@ -131,7 +135,8 @@ CASES = {
     "optimal_code": (
         lambda name: optimal_code(_directions(name)).encodings.tobytes(), DIRECTION_SETS, _sha256
     ),
-    "optimize_stdout": (_optimize_stdout, range(2, 10), repr),
+    "optimize_stdout": (lambda n: _optimize_stdout(n, 8), range(2, 10), repr),
+    "optimize_stdout_restarts50": (lambda n: _optimize_stdout(n, 50), range(2, 10), repr),
     "simulate_code": (_frequencies, SIMULATIONS, _sha256),
     "thresholds": (lambda name: _thresholds(known_code(name)).tobytes(), construction_names(), _sha256),
     "random_walk_distance_mc": (_walks, WALKS, str),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,9 @@ def test_strategy_validation():
         PureClassicalStrategy(n=1, encode=(0, 2), decode=((0, 1),))
     with pytest.raises(ValueError):
         PureClassicalStrategy(n=2, encode=(0, 1, 0, 1), decode=((0, 1),))
+    refusal = "decoders must be one of ((0, 0), (1, 1), (0, 1), (1, 0)), got ((0, 2),)"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        PureClassicalStrategy(n=1, encode=(0, 1), decode=((0, 2),))
 
 
 def test_decoder_table_contents():

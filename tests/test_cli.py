@@ -91,6 +91,9 @@ def test_bound_orthogonal(capsys):
     code, out, _ = run(capsys, "bound", "--kind", "orthogonal", "--n", "6")
     assert code == 0
     assert out.strip() == "0.686973 (2,2,2)"
+    # the largest n the lattice walk's guard admits
+    code, out, _ = run(capsys, "bound", "--kind", "orthogonal", "--n", "60")
+    assert (code, out) == (0, "0.559596 (20,20,20)\n")
 
 
 def test_bound_random_asymptotic(capsys):
@@ -131,7 +134,7 @@ def test_code_show_sym4(capsys):
     code, out, _ = run(capsys, "code", "show", "--name", "sym4")
     assert code == 0
     assert "average: 0.733253" in out
-    assert "neutral_strings: 0000, 1111" in out
+    assert out.splitlines()[-1] == "neutral_strings: 0000, 1111"  # as text, x1 leftmost
 
 
 def test_code_show_unknown_name(capsys):
@@ -140,12 +143,13 @@ def test_code_show_unknown_name(capsys):
 
 
 def test_code_round_trip_identical_report(capsys, tmp_path):
-    path = tmp_path / "qrac5.json"
-    code, show_out, _ = run(capsys, "code", "show", "--name", "qrac5", "--json", str(path))
-    assert code == 0
-    code, eval_out, _ = run(capsys, "code", "eval", "--json", str(path))
-    assert code == 0
-    assert eval_out == show_out
+    for name in ("qrac5", "sym4"):  # sym4 has neutral strings
+        path = tmp_path / f"{name}.json"
+        code, show_out, _ = run(capsys, "code", "show", "--name", name, "--json", str(path))
+        assert code == 0
+        code, eval_out, _ = run(capsys, "code", "eval", "--json", str(path))
+        assert code == 0
+        assert eval_out == show_out
 
 
 def test_round_trip_preserves_vectors_bitwise(tmp_path):
@@ -384,6 +388,41 @@ def test_eval_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+CIRCLES_SHAPE = "expected a JSON array of 3-vectors (or an object with a 'circles' array)"
+
+#: JSON of a shape the loaders refuse before they read a row: (reader, document, error)
+WRONG_SHAPES = {
+    "document-not-object": ("code", [], "code document must be a JSON object"),
+    "one-measurement-for-n-2": (
+        "code",
+        {"schema_version": SCHEMA_VERSION, "n": 2, "measurements": [[0, 0, 1]]},
+        "expected 2 measurement vectors",
+    ),
+    "one-encoding-for-n-1": (
+        "code",
+        {
+            "schema_version": SCHEMA_VERSION,
+            "n": 1,
+            "measurements": [[0, 0, 1]],
+            "encodings": {"0": [0, 0, 1]},
+        },
+        "expected 2 encodings for n = 1",
+    ),
+    "circles-string": ("circles", "x", CIRCLES_SHAPE),
+    "circles-empty": ("circles", [], CIRCLES_SHAPE),
+    "circles-object-without-array": ("circles", {"circles": 3}, CIRCLES_SHAPE),
+}
+
+
+@pytest.mark.parametrize("shape", list(WRONG_SHAPES))
+def test_wrong_json_shape_exits_2(capsys, tmp_path, shape):
+    reader, document, error = WRONG_SHAPES[shape]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    argv = ("code", "eval", "--json") if reader == "code" else ("regions", "--circles")
+    assert run(capsys, *argv, str(path)) == (2, "", f"error: {error}\n")
+
+
 #: JSON coordinates the loaders refuse: null, a nested list and an int beyond float
 #: range, which float() cannot take, and true and false, which it would take as 1.0 and
 #: 0.0 ([0.0, false, 1.0] as a unit vector, so that only the type check refuses it).
@@ -463,9 +502,9 @@ def test_optimize_json_is_simulatable(capsys, tmp_path):
 
 
 def test_optimize_cost_guard_exit_code(capsys):
-    code, _, err = run(capsys, "optimize", "--n", "13", "--restarts", "1")
-    assert code == 3
-    assert "error:" in err
+    code, out, err = run(capsys, "optimize", "--n", "13", "--restarts", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: each see-saw step costs O(n*2^n); n = 13 exceeds the limit 12\n"
 
 
 def test_optimize_validation_exit_code(capsys):
