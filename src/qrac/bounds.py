@@ -5,7 +5,7 @@ optimally afterwards, which turns the average probability into the mean
 distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate, walked in cache-sized sub-blocks
-from Philox streams placed at exact word offsets, so its memory does not
+from Philox streams placed by errors._philox_at, so its memory does not
 grow with n or the trials, and shared by up to four threads, the caller
 and a thread pool, which change no bit of it; and a closed-form asymptote.
 Axis-aligned directions give an exactly summable lattice walk, evaluated
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostLimitError, _at_least, _integer, _philox_key
+from .errors import CostLimitError, _at_least, _integer, _philox_at, _philox_key
 
 #: Below this n the closed-form asymptote is returned but its derivation
 #: does not apply; callers that present it as a bound should say so.
@@ -85,27 +85,25 @@ class WalkEstimate:
 def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     """Estimate E||v_1 + ... + v_n|| over uniform unit steps by Monte Carlo.
 
-    Uses a counter-based generator keyed on `seed`; per block of _CHUNK
-    trials, the z coordinates are drawn first (uniform in [-1, 1]), then the
-    azimuths (uniform in [0, 2*pi)).  The reported std_error is the sample
-    standard deviation (ddof = 1) divided by sqrt(trials).  For n = 1 every
+    Each draw is one word of the Philox stream under key (seed, 0): the block
+    of `rows` <= _CHUNK trials from trial `start` reads its z coordinates,
+    uniform in [-1, 1], from word 2 * n * start, and its azimuths, uniform in
+    [0, 2*pi), rows * n words later.  The reported std_error is the sample
+    standard deviation (ddof = 1) over sqrt(trials).  For n = 1 every
     distance is exactly 1, so the estimate is exact and no randomness is
-    consumed.  From n = 2 on, more than MAX_WALK_STEPS steps n * trials
-    raise CostLimitError.
+    consumed.  From n = 2 on, more than MAX_WALK_STEPS steps n * trials raise
+    CostLimitError.  `seed` must lie in 0..2^64 - 1, for n = 1 too.
 
-    Each draw is one 64-bit word of Philox(key=seed), so the block of `rows`
-    trials from trial `start` reads its z coordinates from word 2 * n * start
-    and its azimuths from rows * n words later.  The block is split into one
-    contiguous share of whole sub-blocks per worker, as many workers as the
-    CPUs this process may run on, at most _MAX_WORKERS.  The calling thread
-    walks the first share and a pool of workers - 1 threads, one per call,
-    the others: each places its own generators at its first row
-    (_philox_at) and walks into its slice of one buffer of lengths.  The
-    calling thread sums the buffer whole, so the estimate is bit for bit the
-    same for any worker count.  The first failing share's error, in share
-    order, is raised once every pool thread is joined.  Memory is that
-    buffer plus O(_SUB_FLOATS) scratch per worker.  `seed` must lie in
-    0..2^64 - 1, for n = 1 too.
+    A block is split into one contiguous share of whole sub-blocks per
+    worker, as many workers as the CPUs this process may run on, at most
+    _MAX_WORKERS.  The calling thread walks the first share and a pool of
+    workers - 1 threads, one per call, the others: each places its own
+    generators at its first row by errors._philox_at and walks into its
+    slice of one buffer of lengths.  The calling thread sums the buffer
+    whole, so the estimate is bit for bit the same for any worker count.
+    The first failing share's error, in share order, is raised once every
+    pool thread is joined.  Memory is that buffer plus O(_SUB_FLOATS)
+    scratch per worker.
 
     The coordinate sums are bit for bit those of `.sum(axis=1)` on each
     block: below n = 8 numpy adds a row left to right, which one vector add
@@ -123,8 +121,8 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     workers = _walk_workers()
     sub_rows = max(1, _SUB_FLOATS // n)
     lengths = np.empty(min(_CHUNK, trials))
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
+    stream = lambda word: np.random.Generator(_philox_at(np.random.Philox(key=0), (seed, 0), word))
     from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging (~14 ms)
 
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # it starts no thread at one worker
@@ -134,8 +132,8 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
             share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
 
             def walk(lo: int) -> None:  # every share is walked before `start` moves on
-                z_stream = _philox_at(seed, 2 * n * start + lo * n)
-                phi_stream = _philox_at(seed, 2 * n * start + rows * n + lo * n)
+                z_stream = stream(2 * n * start + lo * n)
+                phi_stream = stream(2 * n * start + rows * n + lo * n)
                 for sub in range(lo, min(lo + share, rows), sub_rows):
                     _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
 
@@ -158,16 +156,6 @@ def _walk_workers() -> int:
     """Threads that walk a block: the CPUs this process may run on, at most _MAX_WORKERS."""
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_WORKERS)
-
-
-def _philox_at(seed: int, word: int) -> np.random.Generator:
-    """A generator whose next draw reads word `word` of Philox(key=seed).
-
-    Philox(counter=c) starts at word 4c; the word % 4 words before `word` are skipped.
-    """
-    bits = np.random.Philox(key=seed, counter=word // 4)
-    bits.random_raw(word % 4)
-    return np.random.Generator(bits)
 
 
 def _walk_lengths(

@@ -134,7 +134,7 @@ def code_from_document(document: dict) -> tuple[QracCode, dict]:
     if not isinstance(document, dict):
         raise ValueError("code document must be a JSON object")
     version = document.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     n = document.get("n")
     measurements_raw = document.get("measurements")
@@ -302,19 +302,19 @@ def _circles_from_file(path: str) -> np.ndarray:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
+    points = []
     if args.name:
         normals = known_construction(args.name).measurements
-        code = known_code(args.name)
-        points = [
-            {"label": f"v{i + 1}", "vec": row, "kind": "measurement"}
-            for i, row in enumerate(normals.tolist())
-        ] + [
-            {"label": bit_text(i, code.n), "vec": row, "kind": "encoding"}
-            for i, row in enumerate(code.encodings.tolist())
-        ]
+        if args.export:  # the 2^n + n points are built only to be written
+            points = [
+                {"label": f"v{i + 1}", "vec": row, "kind": "measurement"}
+                for i, row in enumerate(normals.tolist())
+            ] + [
+                {"label": bit_text(i, len(normals)), "vec": row, "kind": "encoding"}
+                for i, row in enumerate(known_code(args.name).encodings.tolist())
+            ]
     else:
         normals = _circles_from_file(args.circles)
-        points = []
     arrangement = GreatCircleArrangement(normals)
     print(count_sphere_regions(arrangement))
     if args.export:

@@ -1,4 +1,4 @@
-"""Shared exception types and the one rule for integer arguments.
+"""Shared exception types, the one rule for integer arguments, and `_philox_at`.
 
 Every count a public function takes (n bits, the m of the counting
 identities, trials, restarts, step counts, seeds) is read by `_integer`: an
@@ -54,3 +54,24 @@ def _philox_key(seed: int) -> int:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
     return seed
+
+
+def _philox_at(bits, key: tuple[int, int], word: int):
+    """numpy Philox `bits`, placed so its next raw draw is word `word` of the stream under `key`.
+
+    Every Monte Carlo stream is Philox4x64-10 (Salmon et al., SC'11) under two 64-bit key
+    words: the walk's is (seed, 0), numpy's Philox(key=seed), and simulator cell c's is
+    (seed, c).  Counter c with an empty buffer next yields words 4c..4c + 3, which numpy keeps
+    stable across versions, so `bits` gets counter word // 4 and skips word % 4 words.
+    """
+    bits.state = {  # one dict literal: this runs once per simulator cell
+        "bit_generator": "Philox",
+        "state": {"counter": (word // 4, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if word % 4:
+        bits.random_raw(word % 4)
+    return bits

@@ -8,11 +8,10 @@ sees a uniform effective input, so every (input, position) cell estimates
 the same value — the deterministic code's average.  A run is refused above
 MAX_CELLS cells 2^n * n, or MAX_CELL_TRIALS cell-trials 2^n * n * trials.
 
-Stream contract.  Every cell reads its own Philox4x64-10 stream, keyed by the
-two 64-bit words (seed, x_index * n + position) with counter 0, so a report
-depends only on the raw words of numpy's Philox bit generator, which numpy
-keeps stable across versions, and not on how cells are grouped into blocks.
-The words are consumed in a fixed order:
+Stream contract.  Cell x_index * n + position reads the Philox stream under
+key (seed, cell) from word 0, placed by errors._philox_at, so a report
+depends only on those raw words and not on how cells are grouped into
+blocks.  The words are consumed in a fixed order:
 
 * With randomization, first a stream of 32-bit halves, the low half of each
   word before its high half.  A draw from 0..2^b - 1 is a half shifted right
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QracCode
-from .errors import CostLimitError, _at_least, _philox_key
+from .errors import CostLimitError, _at_least, _philox_at, _philox_key
 
 #: Hard guard on 2^n * n * trials_per_input, the cell-trials of one run; the
 #: largest run in the tests is qrac6 at 100,000 trials (3.84e7 cell-trials).
@@ -116,18 +115,10 @@ def _thresholds(code: QracCode) -> np.ndarray:
 
 def _cell_words(seed: int, cells: np.ndarray, count: int) -> np.ndarray:
     """The first `count` raw words of each cell's stream, one row per cell."""
-    bitgen = np.random.Philox(key=0)
+    bits = np.random.Philox(key=0)
     words = np.empty((cells.size, count), dtype=np.uint64)
     for row, cell in enumerate(cells.tolist()):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (seed, cell)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        words[row] = bitgen.random_raw(count)
+        words[row] = _philox_at(bits, (seed, cell), 0).random_raw(count)
     return words
 
 
@@ -223,12 +214,11 @@ def simulate_code(
 ) -> SimReport:
     """Run the protocol trials_per_input times for every (input, position).
 
-    Each cell reads its own Philox stream keyed by (seed, x_index * n +
-    position), as the module docstring sets out, so reports are reproducible
-    and independent of execution order.  `seed` must lie in 0..2^64 - 1, and
-    trials_per_input is an integer of at least 1 (errors._at_least).
-    Cells run in blocks of at most _BLOCK_CELL_TRIALS cell-trials, which
-    changes no bit of the report.
+    Each cell reads its own stream, as the module docstring sets out, so
+    reports are reproducible and independent of execution order.  `seed`
+    must lie in 0..2^64 - 1, and trials_per_input is an integer of at least
+    1 (errors._at_least).  Cells run in blocks of at most _BLOCK_CELL_TRIALS
+    cell-trials, which changes no bit of the report.
     """
     trials = _at_least(trials_per_input, 1, "trials_per_input")
     seed = _philox_key(seed)

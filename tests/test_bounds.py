@@ -15,7 +15,6 @@ from qrac.bounds import (
     MAX_LATTICE_WALK,
     WalkEstimate,
     _axis_terms,
-    _philox_at,
     best_axis_split,
     lattice_walk_distance,
     orthogonal_lower_bound,
@@ -23,7 +22,7 @@ from qrac.bounds import (
     random_walk_distance_mc,
 )
 from qrac.codes import upper_bound
-from qrac.errors import CostLimitError
+from qrac.errors import CostLimitError, _philox_at
 
 from helpers import (
     dense_lattice_walk_distance,
@@ -187,11 +186,20 @@ def test_mc_matches_row_reducing_reference_bitwise(n, seed):
 
 
 def test_philox_at_reads_the_stream_from_any_word():
-    for seed in (0, 2**62 + 1):
-        words = np.random.Philox(key=seed).random_raw((1 << 20) + 12)
-        for word in (0, 1, 2, 3, 4, 5, (1 << 20) + 3):
-            drawn = _philox_at(seed, word).bit_generator.random_raw(9)
-            assert np.array_equal(drawn, words[word : word + 9]), (seed, word)
+    # the walk reads key (seed, 0), Philox(key=seed), and a simulator cell
+    # (seed, cell); one generator is placed at every key and word in turn, as
+    # the simulator reuses one, so state left from the last placement shows
+    bits = np.random.Philox(key=0)
+    for seed in (0, 2**62 + 1, 2**64 - 1):
+        references = {0: np.random.Philox(key=seed)}
+        for cell in (6, 2**64 - 1):
+            references[cell] = np.random.Philox(key=np.array([seed, cell], dtype=np.uint64))
+        for cell, reference in references.items():
+            words = reference.random_raw((1 << 20) + 12)
+            for word in (0, 1, 2, 3, 4, 5, (1 << 20) + 3, 2):
+                drawn = _philox_at(bits, (seed, cell), word).random_raw(9)
+                assert np.array_equal(drawn, words[word : word + 9]), (seed, cell, word)
+                bits.random_raw(3)  # a part-read buffer for the next placement
 
 
 @pytest.mark.parametrize(("n", "trials"), [(2, 10**6), (32, 200_000)])

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from qrac import cli
 from qrac.bloch import BlochVector
 from qrac.cli import (
     SCHEMA_VERSION,
@@ -212,11 +213,12 @@ def test_eval_rejects_wrong_schema_version(tmp_path, capsys):
 def test_eval_rejects_boolean_schema_version(tmp_path, capsys):
     path = tmp_path / "code.json"
     document = code_document(known_code("qrac2"))
-    document["schema_version"] = True  # equal to 1 in Python, so once accepted
-    path.write_text(json.dumps(document))
-    code, _, err = run(capsys, "code", "eval", "--json", str(path))
-    assert code == 2
-    assert "unsupported schema_version True" in err
+    for version in (True, 1.0):  # each equal to 1 in Python, so once accepted
+        document["schema_version"] = version
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "code", "eval", "--json", str(path))
+        assert code == 2
+        assert f"unsupported schema_version {version}, expected 1" in err
 
 
 def test_eval_rejects_boolean_n(tmp_path, capsys):
@@ -597,6 +599,15 @@ def test_regions_named(capsys):
         code, out, _ = run(capsys, "regions", "--name", name)
         assert code == 0
         assert out.strip() == expected
+
+
+def test_regions_named_builds_no_code_without_export(capsys, monkeypatch):
+    # the encodings are needed only for the export's points
+    def refuse(name):
+        raise AssertionError(f"known_code({name!r}) called without --export")
+
+    monkeypatch.setattr(cli, "known_code", refuse)
+    assert run(capsys, "regions", "--name", "sym15") == (0, "120\n", "")
 
 
 def test_regions_from_circles_file(capsys, tmp_path):
