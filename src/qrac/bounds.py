@@ -4,10 +4,12 @@ Both bounds come from picking measurement directions first and encoding
 optimally afterwards, which turns the average probability into the mean
 distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
-directions give a Monte Carlo estimate, walked in cache-sized sub-blocks
-from Philox streams placed by errors._philox_at, so its memory does not
-grow with n or the trials, and shared by up to four threads, the caller
-and a thread pool, which change no bit of it; and a closed-form asymptote.
+directions give a Monte Carlo estimate, 2n - 3 draws per trial in a frame
+where step 1 is e_z and step 2 lies in the xz half-plane, walked in
+cache-sized sub-blocks from Philox streams placed by errors._philox_at, so
+its memory does not grow with n or the trials, and shared by up to four
+threads, the caller and a thread pool, which change no bit of it; and a
+closed-form asymptote.
 Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
@@ -41,9 +43,9 @@ ASYMPTOTIC_VALID_FROM = 4
 MAX_LATTICE_WALK = 60
 
 #: Hard guard on the steps n * trials of the Monte Carlo walk for n >= 2, the
-#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take 8-9 s on one Xeon core and
-#: about 5 s on two, at n = 2 as at n = 100, and the walk's memory does not
-#: grow with them.
+#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take 5.1-5.4 s at n = 100 on one
+#: Xeon core and 3.0-3.2 s on two, and about 0.9 s at n = 2 on one or two,
+#: where no sine or cosine runs; the walk's memory does not grow with them.
 MAX_WALK_STEPS = 10**8
 
 #: Monte Carlo trials are summed in blocks of this many rows.  The lengths of
@@ -85,10 +87,14 @@ class WalkEstimate:
 def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     """Estimate E||v_1 + ... + v_n|| over uniform unit steps by Monte Carlo.
 
-    Each draw is one word of the Philox stream under key (seed, 0): the block
-    of `rows` <= _CHUNK trials from trial `start` reads its z coordinates,
-    uniform in [-1, 1], from word 2 * n * start, and its azimuths, uniform in
-    [0, 2*pi), rows * n words later.  The reported std_error is the sample
+    Each trial is seen in the frame where v_1 = e_z and v_2 = (rho_2, 0, z_2):
+    z_2 = v_1.v_2 is uniform in [-1, 1] and v_3..v_n stay uniform and
+    independent of the rotation, so the distance keeps its distribution.  A
+    trial reads n - 1 heights and n - 2 azimuths, one word each of the Philox
+    stream under key (seed, 0): the block of `rows` <= _CHUNK trials from
+    trial `start` reads its heights, uniform in [-1, 1], from word
+    (2n - 3) * start, and its azimuths, uniform in [0, 2*pi), rows * (n - 1)
+    words later.  The reported std_error is the sample
     standard deviation (ddof = 1) over sqrt(trials).  For n = 1 every
     distance is exactly 1, so the estimate is exact and no randomness is
     consumed.  From n = 2 on, more than MAX_WALK_STEPS steps n * trials raise
@@ -105,11 +111,11 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     pool thread is joined.  Memory is that buffer plus O(_SUB_FLOATS)
     scratch per worker.
 
-    The coordinate sums are bit for bit those of `.sum(axis=1)` on each
-    block: below n = 8 numpy adds a row left to right, which one vector add
-    per column repeats without a reduction call per row; from n = 8 on it
-    splits a row over eight accumulators, so `.sum(axis=1)` is kept there.
-    The lengths are sqrt((x^2 + y^2) + z^2), np.linalg.norm's order.
+    A row of drawn coordinates is added as `.sum(axis=1)` adds it: below 8
+    columns numpy adds a row left to right, which one vector add per column
+    repeats without a reduction call per row; from 8 on it splits a row over
+    eight accumulators, so `.sum(axis=1)` is kept there.  The lengths are
+    sqrt((x^2 + y^2) + z^2), np.linalg.norm's order.
     """
     n, trials = _at_least(n, 1, "n"), _at_least(trials, 1, "trials")
     seed = _philox_key(seed)
@@ -132,8 +138,8 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
             share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
 
             def walk(lo: int) -> None:  # every share is walked before `start` moves on
-                z_stream = stream(2 * n * start + lo * n)
-                phi_stream = stream(2 * n * start + rows * n + lo * n)
+                z_stream = stream((2 * n - 3) * start + lo * (n - 1))
+                phi_stream = stream((2 * n - 3) * start + rows * (n - 1) + lo * (n - 2))
                 for sub in range(lo, min(lo + share, rows), sub_rows):
                     _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
 
@@ -163,21 +169,26 @@ def _walk_lengths(
 ) -> None:
     """Write into `lengths` the endpoint distances of that many n-step walks.
 
-    Row by row, each walk takes n z coordinates from z_stream and n azimuths from phi_stream.
+    Row by row, a walk takes the heights z_2..z_n from z_stream and the
+    azimuths of steps 3..n from phi_stream; step 1 is e_z, step 2 is
+    (rho_2, 0, z_2), and rho_i = sqrt((1 - z_i)(1 + z_i)), which keeps
+    |v_1 + v_2| within a few ulps of sqrt(2 + 2 z_2).  x and y add steps 3..n
+    as one row, then step 2; z adds steps 2..n as one row, then step 1.
     """
     rows = len(lengths)
-    z = z_stream.uniform(-1.0, 1.0, size=(rows, n))
-    phi = phi_stream.uniform(0.0, 2.0 * math.pi, size=(rows, n))
+    z = z_stream.uniform(-1.0, 1.0, size=(rows, n - 1))
+    phi = phi_stream.uniform(0.0, 2.0 * math.pi, size=(rows, n - 2))
     sum_z = _row_sums(z)
-    rho = np.multiply(z, z, out=z)
-    np.subtract(1.0, rho, out=rho)
-    np.maximum(0.0, rho, out=rho)
+    sum_z += 1.0
+    rho = np.subtract(1.0, z)
+    rho *= np.add(1.0, z, out=z)
     np.sqrt(rho, out=rho)
     steps = np.cos(phi)
-    steps *= rho
+    steps *= rho[:, 1:]
     sum_x = _row_sums(steps)
+    sum_x += rho[:, 0]
     np.sin(phi, out=steps)
-    steps *= rho
+    steps *= rho[:, 1:]
     sum_y = _row_sums(steps)
     np.multiply(sum_x, sum_x, out=lengths)
     lengths += np.multiply(sum_y, sum_y, out=sum_y)
@@ -186,12 +197,12 @@ def _walk_lengths(
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums of a (rows, n >= 2) array, bit for bit those of a.sum(axis=1)."""
+    """Row sums of a (rows, m) array, those of a.sum(axis=1) up to the sign of a zero."""
     if a.shape[1] >= 8:
         return a.sum(axis=1)
-    total = a[:, 0] + a[:, 1]
-    for column in range(2, a.shape[1]):
-        total += a[:, column]
+    total = np.zeros(len(a))
+    for column in a.T:
+        total += column
     return total
 
 

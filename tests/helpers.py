@@ -199,11 +199,53 @@ def dense_lattice_walk_distance(x: int, y: int, z: int) -> float:
 
 
 def reference_random_walk_distance_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
-    """The row-reducing loop that the column-summed random_walk_distance_mc replaced.
+    """The row-reducing loop of random_walk_distance_mc's rotated frame.
 
     Returns (mean_distance, std_error) for n >= 1 and trials >= 1.  Trials
-    run in blocks of 2^18 rows, each drawing its z coordinates and then its
-    azimuths.
+    run in blocks of 2^18 rows, each drawing the heights of steps 2..n and
+    then the azimuths of steps 3..n.  Step 1 is e_z and step 2 is
+    (rho_2, 0, z_2).  Each coordinate adds its drawn steps as one row, then
+    the fixed ones: the kernel's order, which fixes the estimate's bits.
+    """
+    block = 1 << 18
+    if n == 1:
+        return 1.0, 0.0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    total = 0.0
+    total_sq = 0.0
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        z = rng.uniform(-1.0, 1.0, size=(rows, n - 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=(rows, n - 2))
+        rho = np.sqrt((1.0 - z) * (1.0 + z))
+        first = np.array([0.0, 0.0, 1.0])
+        second = np.stack((rho[:, 0], np.zeros(rows), z[:, 0]), axis=1)
+        rest = np.stack((rho[:, 1:] * np.cos(phi), rho[:, 1:] * np.sin(phi), z[:, 1:]), axis=1)
+        endpoint = np.stack(
+            (
+                rest[:, 0].sum(axis=1) + second[:, 0],
+                rest[:, 1].sum(axis=1) + second[:, 1],
+                np.concatenate((second[:, 2:], rest[:, 2]), axis=1).sum(axis=1),
+            ),
+            axis=1,
+        )
+        endpoint += first
+        distances = np.linalg.norm(endpoint, axis=1)
+        total += float(distances.sum())
+        total_sq += float((distances * distances).sum())
+    mean = total / trials
+    if trials > 1:
+        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        return mean, math.sqrt(variance / trials)
+    return mean, 0.0
+
+
+def full_sphere_random_walk_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
+    """The walk that random_walk_distance_mc's rotated frame replaced.
+
+    Every one of the n steps draws its own z and azimuth.  Returns
+    (mean_distance, std_error) for n >= 1 and trials >= 1.  Trials run in
+    blocks of 2^18 rows, each drawing its z coordinates and then its azimuths.
     """
     block = 1 << 18
     if n == 1:

@@ -11,9 +11,11 @@ and the simulator's frequencies do not change with the kernel.
 classical_bounds is left out: its math.exp is the host libm's.
 
 The simulator's frequencies and p0 thresholds, and the Monte Carlo walk, use
-no BLAS.  The walk runs on one worker and on two under one digest, so the
-two must agree.  `qrac code show` prints `evaluate`'s cells, whose last bits
-are the kernel's, to six decimals, which matched on every kernel tried.
+no BLAS.  The walk reads 2n - 3 words per trial in its rotated frame (step 1
+e_z, step 2 in the xz half-plane), and it runs on one worker and on two under
+one digest, so the two must agree.  `qrac code show` prints `evaluate`'s
+cells, whose last bits are the kernel's, to six decimals, which matched on
+every kernel tried.
 
 The direction sets are the named constructions and, for each n = 1..18, n
 uniform directions from a generator seeded with n; their sines and cosines

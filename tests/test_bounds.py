@@ -26,6 +26,7 @@ from qrac.errors import CostLimitError, _philox_at
 
 from helpers import (
     dense_lattice_walk_distance,
+    full_sphere_random_walk_mc,
     reference_lattice_walk_distance,
     reference_random_walk_distance_mc,
 )
@@ -135,7 +136,9 @@ def test_mc_seed_must_be_a_64_bit_key():
         assert random_walk_distance_mc(n, trials=10, seed=2**64 - 1).seed == 2**64 - 1
 
 
-@pytest.mark.parametrize(("n", "trials"), [(2, 2**18 + 3), (7, 10_001), (12, 300_001), (32, 5_000)])
+@pytest.mark.parametrize(
+    ("n", "trials"), [(2, 2**18 + 3), (3, 10_001), (7, 10_001), (12, 300_001), (32, 5_000)]
+)
 def test_mc_does_not_depend_on_the_worker_count(n, trials, monkeypatch):
     walk_lengths = bounds._walk_lengths
     walkers = set()
@@ -174,15 +177,39 @@ def test_mc_worker_error_is_raised_after_every_worker_is_joined(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 2**62 + 1])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 10, 12])
 def test_mc_matches_row_reducing_reference_bitwise(n, seed):
-    # n = 1 is the early return; 7 and 8 straddle the switch from the column
-    # loop to numpy's row reduction; the trial counts cover one trial and
-    # both sides of the block edge
+    # n = 1 is the early return; a row of n - 1 heights reaches the switch
+    # from the column loop to numpy's row reduction at n = 9, and a row of
+    # n - 2 azimuths at n = 10, so 8, 9 and 10 straddle both switches; the
+    # trial counts cover one trial and both sides of the block edge
     for trials in (1, 7, 2**18, 2**18 + 1, 300_001):
         estimate = random_walk_distance_mc(n, trials, seed)
         expected = reference_random_walk_distance_mc(n, trials, seed)
         assert (estimate.mean_distance, estimate.std_error) == expected, (n, trials, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_mc_rotated_frame_matches_the_full_sphere_walk(n):
+    # rotating each trial so that step 1 is e_z and step 2 lies in the xz
+    # half-plane leaves the distance's distribution as it is
+    for seed in (1, 2, 3):
+        estimate = random_walk_distance_mc(n, 200_000, seed)
+        mean, std_error = full_sphere_random_walk_mc(n, 200_000, seed)
+        spread = math.sqrt(estimate.std_error**2 + std_error**2)
+        assert abs(estimate.mean_distance - mean) < 4 * spread, (n, seed)
+        assert estimate.std_error == pytest.approx(std_error, rel=0.02), (n, seed)
+
+
+def test_mc_two_steps_is_the_chord_length():
+    # step 2's height is the cosine c of the angle between the two steps, and
+    # the chord is sqrt(2 + 2c); rho_2 = sqrt((1 - c)(1 + c)) keeps it to a few
+    # ulps where 1 - c^2 would cancel near c = -1
+    stream = lambda word: np.random.Generator(_philox_at(np.random.Philox(key=0), (11, 0), word))
+    lengths = np.empty(100_000)
+    bounds._walk_lengths(stream(3), stream(10**6), lengths, 2)
+    chord = np.sqrt(2.0 + 2.0 * stream(3).uniform(-1.0, 1.0, size=len(lengths)))
+    assert np.all(np.abs(lengths - chord) <= 1e-15 * chord)
 
 
 def test_philox_at_reads_the_stream_from_any_word():
