@@ -5,11 +5,11 @@ optimally afterwards, which turns the average probability into the mean
 distance traveled by a walk that takes one unit step per measurement
 direction: average = (1 + E||sum of signed steps|| / n) / 2.  Random
 directions give a Monte Carlo estimate, 2n - 3 draws per trial in a frame
-where step 1 is e_z and step 2 lies in the xz half-plane, walked in
-cache-sized sub-blocks from Philox streams placed by errors._philox_at, so
-its memory does not grow with n or the trials, and shared by up to four
-threads, the caller and a thread pool, which change no bit of it; and a
-closed-form asymptote.
+where step 1 is e_z and step 2 lies in the xz half-plane, walked on the
+calling thread in cache-sized sub-blocks from Philox streams placed by
+errors._philox_at, so its memory does not grow with n or the trials; the
+exact mean of that walk, Rayleigh's random flight, summed in integers; and
+a closed-form asymptote.
 Axis-aligned directions give an exactly summable lattice walk, evaluated
 as one array of exactly weighted terms and a correctly rounded sum.
 The walk is folded onto i <= x/2, j <= y/2, k <= z/2 with each term scaled
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,10 +43,16 @@ ASYMPTOTIC_VALID_FROM = 4
 MAX_LATTICE_WALK = 60
 
 #: Hard guard on the steps n * trials of the Monte Carlo walk for n >= 2, the
-#: scale of sim.MAX_CELL_TRIALS: 10^8 steps take 5.1-5.4 s at n = 100 on one
-#: Xeon core and 3.0-3.2 s on two, and about 0.9 s at n = 2 on one or two,
-#: where no sine or cosine runs; the walk's memory does not grow with them.
+#: scale of sim.MAX_CELL_TRIALS: on one Xeon core 10^8 steps take 6.4-6.9 s
+#: at n = 100 and 0.7-1.0 s at n = 2, where no sine or cosine runs; the walk's
+#: memory does not grow with them.  random_walk_distance gives the mean exactly.
 MAX_WALK_STEPS = 10**8
+
+#: Hard guard on n for the exact mean distance of random_walk_distance.  Its
+#: (n + 1) // 2 integer terms have up to about (n + 1) log2(n) + n bits,
+#: 24,000 at n = 2000; the sum took 2.8 ms at n = 500, 19 ms at 1000 and
+#: 135 ms at 2000 on one Xeon core.
+MAX_EXACT_WALK = 2000
 
 #: Monte Carlo trials are summed in blocks of this many rows.  The lengths of
 #: a block are added by one pairwise `.sum()`, so this size fixes the
@@ -55,12 +61,9 @@ _CHUNK = 1 << 18
 
 #: A block is walked in sub-blocks of max(1, _SUB_FLOATS // n) rows, so each
 #: scratch array holds about this many floats: it bounds the walk's memory
-#: and changes no bit of the estimate.
-_SUB_FLOATS = 1 << 13
-
-#: At most this many threads walk one block.  Each holds about 0.3 MB of
-#: sub-block scratch next to the 2 MB buffer of lengths.
-_MAX_WORKERS = 4
+#: and changes no bit of the estimate.  2^15 was the fastest of 2^13 to 2^16
+#: at n = 2 to 100, where n = 2 is bound by the count of numpy calls.
+_SUB_FLOATS = 1 << 15
 
 
 def _walk_probability(distance: float, n: int) -> float:
@@ -100,16 +103,9 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     consumed.  From n = 2 on, more than MAX_WALK_STEPS steps n * trials raise
     CostLimitError.  `seed` must lie in 0..2^64 - 1, for n = 1 too.
 
-    A block is split into one contiguous share of whole sub-blocks per
-    worker, as many workers as the CPUs this process may run on, at most
-    _MAX_WORKERS.  The calling thread walks the first share and a pool of
-    workers - 1 threads, one per call, the others: each places its own
-    generators at its first row by errors._philox_at and walks into its
-    slice of one buffer of lengths.  The calling thread sums the buffer
-    whole, so the estimate is bit for bit the same for any worker count.
-    The first failing share's error, in share order, is raised once every
-    pool thread is joined.  Memory is that buffer plus O(_SUB_FLOATS)
-    scratch per worker.
+    The calling thread walks a block's sub-blocks in order into one buffer
+    of lengths and sums the buffer whole; it starts no thread.  Memory is
+    that buffer plus O(_SUB_FLOATS) scratch.
 
     A row of drawn coordinates is added as `.sum(axis=1)` adds it: below 8
     columns numpy adds a row left to right, which one vector add per column
@@ -124,31 +120,20 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     if n * trials > MAX_WALK_STEPS:
         cost = f"Monte Carlo walk of {n} steps per trial over {trials} trials"
         raise CostLimitError(cost, "steps n * trials", n * trials, MAX_WALK_STEPS)
-    workers = _walk_workers()
     sub_rows = max(1, _SUB_FLOATS // n)
     lengths = np.empty(min(_CHUNK, trials))
     total = total_sq = 0.0
     stream = lambda word: np.random.Generator(_philox_at(np.random.Philox(key=0), (seed, 0), word))
-    from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging (~14 ms)
-
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # it starts no thread at one worker
-        for start in range(0, trials, _CHUNK):
-            rows = min(_CHUNK, trials - start)
-            block = lengths[:rows]
-            share = -(-rows // (workers * sub_rows)) * sub_rows  # whole sub-blocks, so none spans two shares
-
-            def walk(lo: int) -> None:  # every share is walked before `start` moves on
-                z_stream = stream((2 * n - 3) * start + lo * (n - 1))
-                phi_stream = stream((2 * n - 3) * start + rows * (n - 1) + lo * (n - 2))
-                for sub in range(lo, min(lo + share, rows), sub_rows):
-                    _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
-
-            others = pool.map(walk, range(share, rows, share))  # every share submitted now
-            walk(0)
-            list(others)  # raises the first failing share's error, in share order
-            total += float(block.sum())
-            block *= block
-            total_sq += float(block.sum())
+    for start in range(0, trials, _CHUNK):
+        rows = min(_CHUNK, trials - start)
+        block = lengths[:rows]
+        z_stream = stream((2 * n - 3) * start)
+        phi_stream = stream((2 * n - 3) * start + rows * (n - 1))
+        for sub in range(0, rows, sub_rows):
+            _walk_lengths(z_stream, phi_stream, block[sub : sub + sub_rows], n)
+        total += float(block.sum())
+        block *= block
+        total_sq += float(block.sum())
     mean = total / trials
     if trials > 1:
         variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -156,12 +141,6 @@ def random_walk_distance_mc(n: int, trials: int, seed: int) -> WalkEstimate:
     else:
         std_error = 0.0
     return WalkEstimate(n=n, mean_distance=mean, std_error=std_error, trials=trials, seed=seed)
-
-
-def _walk_workers() -> int:
-    """Threads that walk a block: the CPUs this process may run on, at most _MAX_WORKERS."""
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
-    return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_WORKERS)
 
 
 def _walk_lengths(
@@ -204,6 +183,25 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for column in a.T:
         total += column
     return total
+
+
+def random_walk_distance(n: int) -> Fraction:
+    """Exact E||v_1 + ... + v_n|| over uniform unit steps, which random_walk_distance_mc estimates.
+
+    The endpoint distance has Rayleigh's (1919) piecewise-polynomial density,
+    and r times it integrates to
+    sum_{0 <= k < n/2} (-1)^k C(n, k) (n - 2k)^(n+1) / (2^(n-2) (n + 1)!),
+    summed here in integers: 4/3 at n = 2, and 1 at n = 1.  Above
+    MAX_EXACT_WALK steps CostLimitError is raised.
+    """
+    n = _at_least(n, 1, "n")
+    if n > MAX_EXACT_WALK:
+        bits = math.ceil((n + 1) * math.log2(n)) + n
+        cost = f"exact mean distance of a {n}-step walk sums integers of up to about {bits} bits"
+        raise CostLimitError(cost, "n", n, MAX_EXACT_WALK)
+    terms = (math.comb(n, k) * (n - 2 * k) ** (n + 1) for k in range((n + 1) // 2))
+    numerator = sum(-term if k % 2 else term for k, term in enumerate(terms))
+    return Fraction(4 * numerator, 2**n * math.factorial(n + 1))  # 2^(n-2) as 2^n / 4, for n = 1
 
 
 def random_lower_bound_asymptotic(n: int) -> float:

@@ -12,10 +12,9 @@ classical_bounds is left out: its math.exp is the host libm's.
 
 The simulator's frequencies and p0 thresholds, and the Monte Carlo walk, use
 no BLAS.  The walk reads 2n - 3 words per trial in its rotated frame (step 1
-e_z, step 2 in the xz half-plane), and it runs on one worker and on two under
-one digest, so the two must agree.  `qrac code show` prints `evaluate`'s
-cells, whose last bits are the kernel's, to six decimals, which matched on
-every kernel tried.
+e_z, step 2 in the xz half-plane), and its exact mean is an integer
+Fraction.  `qrac code show` prints `evaluate`'s cells, whose last bits are
+the kernel's, to six decimals, which matched on every kernel tried.
 
 The direction sets are the named constructions and, for each n = 1..18, n
 uniform directions from a generator seeded with n; their sines and cosines
@@ -40,9 +39,15 @@ from pathlib import Path
 
 import numpy as np
 
-from qrac import bounds, cli
+from qrac import cli
 from qrac.bloch import uniform_directions
-from qrac.bounds import best_axis_split, orthogonal_lower_bound, random_lower_bound_asymptotic
+from qrac.bounds import (
+    best_axis_split,
+    orthogonal_lower_bound,
+    random_lower_bound_asymptotic,
+    random_walk_distance,
+    random_walk_distance_mc,
+)
 from qrac.classical import (
     classical_asymptotic,
     counting_identity_check,
@@ -104,22 +109,14 @@ def _frequencies(case: tuple[str, int, int, bool]) -> bytes:
     return simulate_code(known_code(name), trials, seed, randomize).frequencies.tobytes()
 
 
-#: (n, trials) on both sides of a sub-block (2^13 floats) and a block (2^18 rows)
-WALKS = tuple(itertools.product((2, 3, 8), (1, 2**13 - 1, 2**13 + 1, 2**18, 2**18 + 1)))
+#: (n, trials) on both sides of an n = 2 sub-block (2^15 floats) and a block (2^18 rows)
+WALKS = tuple(itertools.product((2, 3, 8), (1, 2**14 - 1, 2**14 + 1, 2**18, 2**18 + 1)))
 
 
-def _walks(case: tuple[int, int]) -> str:
-    """The estimate at seed 0 on one worker, then on two: "mean std_error" each."""
-    saved = bounds._walk_workers
-    estimates = []
-    try:
-        for workers in (1, 2):
-            bounds._walk_workers = lambda: workers
-            estimate = bounds.random_walk_distance_mc(*case, 0)
-            estimates.append(f"{estimate.mean_distance.hex()} {estimate.std_error.hex()}")
-    finally:
-        bounds._walk_workers = saved
-    return ", ".join(estimates)
+def _walk(case: tuple[int, int]) -> str:
+    """The estimate at seed 0 as "mean std_error"."""
+    estimate = random_walk_distance_mc(*case, 0)
+    return f"{estimate.mean_distance.hex()} {estimate.std_error.hex()}"
 
 
 #: name -> (function, arguments, how one result is written)
@@ -141,7 +138,8 @@ CASES = {
     "optimize_stdout_restarts50": (lambda n: _optimize_stdout(n, 50), range(2, 10), repr),
     "simulate_code": (_frequencies, SIMULATIONS, _sha256),
     "thresholds": (lambda name: _thresholds(known_code(name)).tobytes(), construction_names(), _sha256),
-    "random_walk_distance_mc": (_walks, WALKS, str),
+    "random_walk_distance_mc": (_walk, WALKS, str),
+    "random_walk_distance": (random_walk_distance, range(2, 61), str),
     "code_show_stdout": (
         lambda name: _stdout(["code", "show", "--name", name]), construction_names(), repr
     ),

@@ -22,6 +22,7 @@ from qrac.bounds import (
     lattice_walk_distance,
     orthogonal_lower_bound,
     random_lower_bound_asymptotic,
+    random_walk_distance,
     random_walk_distance_mc,
 )
 from qrac.classical import (
@@ -74,6 +75,7 @@ SITES = [
      -1, "seed must lie in 0..2**64 - 1, got {value}"),
     ("random_lower_bound_asymptotic", "n", random_lower_bound_asymptotic,
      0, "n must be at least 1, got {value}"),
+    ("random_walk_distance", "n", random_walk_distance, 0, "n must be at least 1, got {value}"),
     ("lattice_walk_distance", "x", lambda v: lattice_walk_distance(v, 1, 1),
      -1, "step counts must be nonnegative, got ({value}, 1, 1)"),
     ("lattice_walk_distance", "y", lambda v: lattice_walk_distance(1, v, 1),
@@ -160,6 +162,7 @@ NUMPY_CASES = [
             PureClassicalStrategy.majority,
             upper_bound,
             random_lower_bound_asymptotic,
+            random_walk_distance,
         )
         for n in (63, 64, 100)
     ),

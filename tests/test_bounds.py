@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
-import threading
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from qrac import bounds
 from qrac.bounds import (
     ASYMPTOTIC_VALID_FROM,
+    MAX_EXACT_WALK,
     MAX_LATTICE_WALK,
     WalkEstimate,
     _axis_terms,
@@ -19,6 +24,7 @@ from qrac.bounds import (
     lattice_walk_distance,
     orthogonal_lower_bound,
     random_lower_bound_asymptotic,
+    random_walk_distance,
     random_walk_distance_mc,
 )
 from qrac.codes import upper_bound
@@ -136,44 +142,17 @@ def test_mc_seed_must_be_a_64_bit_key():
         assert random_walk_distance_mc(n, trials=10, seed=2**64 - 1).seed == 2**64 - 1
 
 
-@pytest.mark.parametrize(
-    ("n", "trials"), [(2, 2**18 + 3), (3, 10_001), (7, 10_001), (12, 300_001), (32, 5_000)]
-)
-def test_mc_does_not_depend_on_the_worker_count(n, trials, monkeypatch):
-    walk_lengths = bounds._walk_lengths
-    walkers = set()
-
-    def spy(z_stream, phi_stream, lengths, n):
-        walkers.add(threading.get_ident())
-        walk_lengths(z_stream, phi_stream, lengths, n)
-
-    monkeypatch.setattr(bounds, "_walk_lengths", spy)
-    threads_before = threading.active_count()
-    estimates = {}
-    for workers in (1, 2, 3, 5):
-        monkeypatch.setattr(bounds, "_walk_workers", lambda: workers)
-        walkers.clear()
-        estimates[workers] = random_walk_distance_mc(n, trials, seed=17)
-        assert (len(walkers) > 1) == (workers > 1), (workers, len(walkers))
-        assert threading.active_count() == threads_before  # no worker outlives the call
-    assert all(estimate == estimates[1] for estimate in estimates.values()), estimates
-
-
-def test_mc_worker_error_is_raised_after_every_worker_is_joined(monkeypatch):
-    walk_lengths = bounds._walk_lengths
-    main = threading.get_ident()
-
-    def failing(z_stream, phi_stream, lengths, n):
-        if threading.get_ident() != main:
-            raise RuntimeError("worker failed")
-        walk_lengths(z_stream, phi_stream, lengths, n)
-
-    monkeypatch.setattr(bounds, "_walk_lengths", failing)
-    monkeypatch.setattr(bounds, "_walk_workers", lambda: 3)
-    threads_before = threading.active_count()
-    with pytest.raises(RuntimeError, match="worker failed"):
-        random_walk_distance_mc(2, 2**16, seed=0)
-    assert threading.active_count() == threads_before
+def test_mc_starts_no_thread_and_loads_no_pool():
+    # a fresh process, so no earlier test's import or thread shows
+    env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).resolve().parent.parent))
+    script = (
+        "import sys, threading, qrac; qrac.random_walk_distance_mc(2, 10**5, 0); "
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "1"]
 
 
 @pytest.mark.parametrize("seed", [0, 2**62 + 1])
@@ -245,6 +224,34 @@ def test_mc_memory_does_not_grow_with_n_or_trials(n, trials):
 def test_mc_guard_spares_the_exact_single_step():
     # n = 1 consumes no randomness, so no trial count is refused
     assert random_walk_distance_mc(1, trials=10**12, seed=0).mean_distance == 1.0
+
+
+def test_exact_mean_small_n():
+    expected = [Fraction(1), Fraction(4, 3), Fraction(13, 8), Fraction(28, 15), Fraction(1199, 576)]
+    assert [random_walk_distance(n) for n in range(1, 6)] == expected
+
+
+@pytest.mark.parametrize(
+    ("n", "trials"), [(2, 10**6), (3, 10**6), (5, 400_000), (16, 100_000), (100, 20_000)]
+)
+def test_mc_agrees_with_the_exact_mean(n, trials):
+    exact = random_walk_distance(n)
+    estimate = random_walk_distance_mc(n, trials, seed=0)
+    assert abs(estimate.mean_distance - float(exact)) < 4 * estimate.std_error
+    # E||sum||^2 = n, so a distance's variance is n - E^2
+    assert estimate.std_error == pytest.approx(math.sqrt((n - exact**2) / trials), rel=0.02)
+
+
+def test_exact_mean_approaches_the_asymptote():
+    gaps = []
+    for n in (10, 100, 1000, MAX_EXACT_WALK):
+        probability = 0.5 * (1.0 + float(random_walk_distance(n)) / n)
+        gaps.append(probability - random_lower_bound_asymptotic(n))
+        if n == 100:
+            assert (probability, random_lower_bound_asymptotic(n)) == pytest.approx(
+                (0.546089, 0.546066), abs=5e-7
+            )
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] > 0, gaps
 
 
 def test_asymptotic_formula_values():

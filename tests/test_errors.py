@@ -10,11 +10,13 @@ import pytest
 
 from qrac.bloch import BlochVector
 from qrac.bounds import (
+    MAX_EXACT_WALK,
     MAX_LATTICE_WALK,
     MAX_WALK_STEPS,
     best_axis_split,
     lattice_walk_distance,
     orthogonal_lower_bound,
+    random_walk_distance,
     random_walk_distance_mc,
 )
 from qrac.classical import (
@@ -77,6 +79,7 @@ GUARDS = [
     ("orthogonal-bound", lambda: orthogonal_lower_bound(61), 61, MAX_LATTICE_WALK),
     ("best-axis-split", lambda: best_axis_split(61), 61, MAX_LATTICE_WALK),
     ("random-walk", lambda: random_walk_distance_mc(10**4, 10**8, 0), 10**12, MAX_WALK_STEPS),
+    ("exact-walk", lambda: random_walk_distance(2001), 2001, MAX_EXACT_WALK),
     (
         "circles",
         lambda: GreatCircleArrangement((BlochVector(*NORTH),) * 1001),
@@ -123,6 +126,8 @@ def test_reworded_messages_read_exactly():
         "x + y + z = 61 exceeds the limit 60",
         "random-walk": "Monte Carlo walk of 10000 steps per trial over 100000000 trials; "
         "steps n * trials = 1000000000000 exceeds the limit 100000000",
+        "exact-walk": "exact mean distance of a 2001-step walk sums integers of up to about "
+        "23956 bits; n = 2001 exceeds the limit 2000",
         "circles": "1001 circles meet in 1001000 intersection points "
         "(24024000 bytes as float64 3-vectors); circles = 1001 exceeds the limit 1000",
         "cell-trials": "simulation runs 2**9 * 9 * 30000 = 138240000 cell-trials; "
